@@ -19,7 +19,6 @@
 #include "assembler/assembler.hh"
 #include "kernels/runner.hh"
 #include "netlist/flexicore_netlist.hh"
-#include "netlist/lane_batch.hh"
 #include "netlist/lane_group.hh"
 #include "netlist/lockstep.hh"
 #include "sim/core_sim.hh"
@@ -152,40 +151,6 @@ BM_WaferStudyStatistical(benchmark::State &state)
 }
 BENCHMARK(BM_WaferStudyStatistical);
 
-/** 64 dies per pass through the word-parallel compiled plan. */
-void
-BM_LaneBatchCycleRate(benchmark::State &state)
-{
-    auto nl = buildFlexiCore4Netlist();
-    LaneBatch batch(*nl);
-    Program p = makeTestProgram(IsaKind::FlexiCore4, 1);
-    const auto &image = p.page(0);
-    BusHandle pc = nl->outputBus("pc", 7);
-    BusHandle instr = nl->inputBus("instr", 8);
-    BusHandle iport = nl->inputBus("iport", 4);
-    batch.setBus(iport, 0x5);
-    uint32_t die_pc[LaneBatch::kMaxLanes] = {};
-    uint32_t die_instr[LaneBatch::kMaxLanes] = {};
-    for (auto _ : state) {
-        for (int i = 0; i < 100; ++i) {
-            for (unsigned lane = 0; lane < batch.lanes(); ++lane)
-                die_instr[lane] = die_pc[lane] < image.size()
-                                      ? image[die_pc[lane]]
-                                      : 0;
-            batch.setBusLanes(instr, die_instr);
-            batch.evaluate();
-            batch.clockEdge();
-            batch.evaluate();
-            batch.gatherBus(pc, die_pc);
-        }
-    }
-    // One item = one simulated die-cycle: 100 batch cycles x 64
-    // lanes per iteration.
-    state.SetItemsProcessed(state.iterations() * 100 *
-                            LaneBatch::kMaxLanes);
-}
-BENCHMARK(BM_LaneBatchCycleRate);
-
 /** Up to 512 dies per pass through the fused-run wide evaluator —
  *  the exact per-cycle work of the wafer/campaign inner loop
  *  (per-lane fetch, threaded-dispatch evaluate, DFF commit, pad-cone
@@ -223,30 +188,9 @@ BM_LaneGroupCycleRate(benchmark::State &state)
 }
 BENCHMARK(BM_LaneGroupCycleRate)->Arg(64)->Arg(256)->Arg(512);
 
-/** Full gate-level fault simulation of every defective die on the
- *  scalar clone-per-die path — the speedup yardstick for the lane
- *  batching; the thread count sweeps single-threaded to auto (0). */
-void
-BM_WaferStudyGateLevel(benchmark::State &state)
-{
-    for (auto _ : state) {
-        WaferStudyConfig cfg;
-        cfg.seed = 5;
-        cfg.gateLevelErrors = true;
-        cfg.testCycles = 600;
-        cfg.threads = static_cast<unsigned>(state.range(0));
-        cfg.batchLanes = 1;
-        auto res = runWaferStudy(cfg);
-        benchmark::DoNotOptimize(res.yield(4.5, true));
-    }
-}
-BENCHMARK(BM_WaferStudyGateLevel)->Arg(1)->Arg(0)
-    ->Unit(benchmark::kMillisecond);
-
-/** The same wafer workload with defective dies packed into wide
- *  lane groups (the runWaferStudy default, up to 512 lanes);
- *  bit-identical yields and error counts to
- *  BM_WaferStudyGateLevel's scalar path. */
+/** Full gate-level fault simulation of every defective die, packed
+ *  into wide lane groups (up to 512 lanes); the thread count sweeps
+ *  single-threaded to auto (0). */
 void
 BM_WaferStudyGateLevelBatched(benchmark::State &state)
 {
@@ -256,7 +200,6 @@ BM_WaferStudyGateLevelBatched(benchmark::State &state)
         cfg.gateLevelErrors = true;
         cfg.testCycles = 600;
         cfg.threads = static_cast<unsigned>(state.range(0));
-        cfg.batchLanes = 512;
         auto res = runWaferStudy(cfg);
         benchmark::DoNotOptimize(res.yield(4.5, true));
     }

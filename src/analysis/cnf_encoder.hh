@@ -19,7 +19,7 @@
  *  - WordPlan: clauses derived by walking the fused-run program
  *    (Netlist::planRuns()) with each step encoded from its WordOp's
  *    gate semantics — the exact straight-line program the wide-lane
- *    compiled backend (LaneGroup/LaneBatch) dispatches.
+ *    compiled backend (LaneGroup) dispatches.
  *
  * A miter between encodings (shared primary-input and DFF-Q
  * variables) therefore proves the compiled plan — and the fused

@@ -5,8 +5,8 @@
  * lanes) executed through the fused-run program compiled at
  * elaborate() time.
  *
- * A LaneGroup generalizes LaneBatch past the 64 lanes of a single
- * machine word. Net values become lane *groups* — W contiguous
+ * A LaneGroup packs one die per bit lane, past the 64 lanes of a
+ * single machine word. Net values become lane *groups* — W contiguous
  * uint64_t words per net, laid out `val[net * W + w]` so bit L of
  * word w is the value of net N in lane w*64 + L — and the per-step
  * inner loop strides the W words of each net at unit distance, which
@@ -18,20 +18,20 @@
  * / runOp), and the evaluator threads between per-op code blocks via
  * computed goto (GCC/Clang `&&label`), falling back to an
  * indirect-threaded function table on other compilers. Per-step op
- * classification — the switch LaneBatch executes 64 lanes at a time
- * — disappears entirely; the formal checker's word-plan encoding
+ * classification — a switch executed once per plan step — disappears
+ * entirely; the formal checker's word-plan encoding
  * (NetlistEncodeMode::WordPlan) proves the fused-run program cone-
  * equivalent to the CellInst reference semantics, so the dispatch
  * path itself is inside the SAT proof.
  *
- * State semantics mirror LaneBatch (and the scalar Netlist) exactly,
- * at bit granularity: per-lane stuck/transient force groups blended
+ * State semantics mirror the scalar Netlist exactly, at bit
+ * granularity: per-lane stuck/transient force groups blended
  * with `v = (v & ~m) | (fval & m)`, DFF state committed with the
  * force-masked blend on the Q net, opt-in per-lane toggle counts
  * bit-identical to a scalar run of the same faulted instance, and a
  * trailing always-zero scratch group backing the plan's padded input
  * slots. Differential tests pit this evaluator against the scalar
- * compiled plan, evaluateReference(), and the 64-lane LaneBatch.
+ * compiled plan and evaluateReference().
  *
  * Lanes above lanes() exist physically but are dead: their fault
  * state can't be set, their values are never read, and the lane

@@ -114,98 +114,6 @@ runLockstep(Netlist &netlist, IsaKind isa, const Program &prog,
     return res;
 }
 
-LockstepBatchResult
-runLockstepBatch(LaneBatch &batch, const Netlist &golden_netlist,
-                 IsaKind isa, const Program &prog,
-                 const std::vector<uint8_t> &inputs,
-                 uint64_t max_instructions, bool early_exit)
-{
-    if (!golden_netlist.elaborated())
-        fatal("netlist must be elaborated");
-
-    bool wide_bus = isa == IsaKind::ExtAcc4 ||
-                    isa == IsaKind::LoadStore4;
-    bool word_pc = isa == IsaKind::LoadStore4;
-
-    unsigned w = isaDataWidth(isa);
-    const std::vector<uint8_t> &image = prog.page(0);
-    auto fetch = [&](unsigned pc) -> uint8_t {
-        return pc < image.size() ? image[pc] : 0;
-    };
-
-    BusHandle pc_bus = golden_netlist.outputBus("pc", 7);
-    BusHandle instr_bus =
-        golden_netlist.inputBus("instr", wide_bus ? 16 : 8);
-    BusHandle iport_bus = golden_netlist.inputBus("iport", w);
-    BusHandle oport_bus = golden_netlist.outputBus("oport", w);
-
-    HeldInputEnv env;
-    TimingConfig cfg;
-    cfg.isa = isa;
-    CoreSim golden(cfg, prog, env);
-
-    batch.reset();
-
-    LockstepBatchResult res;
-    res.activeMask = batch.laneMask();
-    size_t input_idx = 0;
-    unsigned lanes = batch.lanes();
-
-    // Per-lane pad snapshots; freshly reset pads read 0.
-    std::array<uint32_t, LaneBatch::kMaxLanes> die_pc{};
-    std::array<uint32_t, LaneBatch::kMaxLanes> die_instr{};
-    std::array<uint32_t, LaneBatch::kMaxLanes> die_oport{};
-
-    while (res.instructions < max_instructions && !golden.halted()) {
-        DecodeResult dec = decodeAt(isa, image, golden.pc());
-        if (readsInput(dec.inst) && input_idx < inputs.size())
-            env.held = inputs[input_idx++] &
-                       static_cast<uint8_t>((1u << w) - 1u);
-
-        unsigned cycles = wide_bus ? 1 : dec.bytes;
-        for (unsigned c = 0; c < cycles; ++c) {
-            for (unsigned lane = 0; lane < lanes; ++lane) {
-                unsigned pcv = die_pc[lane];
-                if (wide_bus) {
-                    unsigned base = word_pc ? pcv * 2 : pcv;
-                    die_instr[lane] =
-                        fetch(base) |
-                        static_cast<unsigned>(fetch(base + 1)) << 8;
-                } else {
-                    die_instr[lane] = fetch(pcv);
-                }
-            }
-            batch.setBusLanes(instr_bus, die_instr.data());
-            batch.setBus(iport_bus, env.held);
-            batch.evaluate();
-            batch.clockEdge();
-            batch.evaluate();   // expose new state on the pads
-            ++res.cycles;
-            batch.gatherBus(pc_bus, die_pc.data());
-        }
-
-        golden.step();
-        ++res.instructions;
-
-        batch.gatherBus(oport_bus, die_oport.data());
-        unsigned gpc = golden.pc();
-        unsigned gout = golden.outputLatch();
-        for (unsigned lane = 0; lane < lanes; ++lane) {
-            if (early_exit && !((res.activeMask >> lane) & 1))
-                continue;
-            uint64_t e =
-                static_cast<uint64_t>(die_pc[lane] != gpc) +
-                static_cast<uint64_t>(die_oport[lane] != gout);
-            res.errors[lane] += e;
-            if (e)
-                res.activeMask &= ~(1ull << lane);
-        }
-        if (early_exit && !res.activeMask)
-            break;
-    }
-    return res;
-}
-
 LockstepGroupResult
 runLockstepGroup(LaneGroup &group, const Netlist &golden_netlist,
                  IsaKind isa, const Program &prog,

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "assembler/program.hh"
-#include "netlist/lane_batch.hh"
 #include "netlist/lane_group.hh"
 #include "netlist/netlist.hh"
 
@@ -61,44 +60,6 @@ LockstepResult runLockstep(Netlist &netlist, IsaKind isa,
                            const std::vector<uint8_t> &inputs,
                            uint64_t max_instructions);
 
-/** Result of a batched lockstep run. */
-struct LockstepBatchResult
-{
-    uint64_t cycles = 0;
-    uint64_t instructions = 0;
-    /**
-     * Lanes whose PC and OPORT pads matched golden on every compared
-     * instruction (bit L = lane L still clean at exit).
-     */
-    uint64_t activeMask = 0;
-    /** Per-lane pad-mismatch count (as LockstepResult::errors). */
-    std::array<uint64_t, LaneBatch::kMaxLanes> errors{};
-};
-
-/**
- * Drive all lanes of @p batch in lockstep with one shared golden
- * CoreSim run of @p prog. Each lane fetches from its *own* PC pads
- * (a faulty lane chases its own wrong-path instruction stream, as on
- * the probe station) while the input port and the expected pads are
- * shared — the harness compares every lane against the same golden
- * trajectory that runLockstep uses, so per-lane error counts are
- * bit-identical to running each faulted die through runLockstep.
- *
- * @param golden_netlist the elaborated netlist the batch was built
- *        from (or any clone sharing its structure); used only to
- *        resolve the pad buses
- * @param early_exit retire a lane at its first pad mismatch (its
- *        error count stops accumulating but stays >= 1) and stop the
- *        whole batch once every lane has diverged. Exact per-lane
- *        error totals are only preserved with early_exit = false.
- */
-LockstepBatchResult runLockstepBatch(LaneBatch &batch,
-                                     const Netlist &golden_netlist,
-                                     IsaKind isa, const Program &prog,
-                                     const std::vector<uint8_t> &inputs,
-                                     uint64_t max_instructions,
-                                     bool early_exit);
-
 /** Result of a wide-lane (up to 512 lanes) lockstep run. */
 struct LockstepGroupResult
 {
@@ -120,14 +81,25 @@ struct LockstepGroupResult
 };
 
 /**
- * Wide-lane runLockstepBatch: drive all lanes of @p group — up to
- * LaneGroup::kMaxLanes dies per pass through the compiled fused-run
- * plan — in lockstep with one shared golden CoreSim run. Semantics
- * match runLockstepBatch lane for lane (per-lane error counts are
- * bit-identical to scalar runLockstep of the same faulted die); the
- * only difference is capacity and speed: between clockEdge() and the
- * pad sample the runner re-evaluates only the PC/OPORT pad cones
- * (LaneGroup::exposeState), which is exact for the compared pads.
+ * Drive all lanes of @p group — up to LaneGroup::kMaxLanes dies per
+ * pass through the compiled fused-run plan — in lockstep with one
+ * shared golden CoreSim run of @p prog. Each lane fetches from its
+ * *own* PC pads (a faulty lane chases its own wrong-path instruction
+ * stream, as on the probe station) while the input port and the
+ * expected pads are shared — every lane is compared against the same
+ * golden trajectory that runLockstep uses, so per-lane error counts
+ * are bit-identical to running each faulted die through runLockstep.
+ * Between clockEdge() and the pad sample the runner re-evaluates
+ * only the PC/OPORT pad cones (LaneGroup::exposeState), which is
+ * exact for the compared pads.
+ *
+ * @param golden_netlist the elaborated netlist the group was built
+ *        from (or any clone sharing its structure); used only to
+ *        resolve the pad buses
+ * @param early_exit retire a lane at its first pad mismatch (its
+ *        error count stops accumulating but stays >= 1) and stop the
+ *        whole group once every lane has diverged. Exact per-lane
+ *        error totals are only preserved with early_exit = false.
  */
 LockstepGroupResult runLockstepGroup(LaneGroup &group,
                                      const Netlist &golden_netlist,

@@ -467,7 +467,7 @@ Netlist::compilePlan()
     plan.in.assign(3 * n, scratch);
     plan.out.resize(n);
     plan.lut.resize(n);
-    plan.wop.resize(n);
+    std::vector<uint8_t> wop(n);   // WordOp per comb cell
     plan.cell.resize(n);
     for (size_t i = 0; i < n; ++i) {
         size_t idx = s_->evalOrder[i];
@@ -476,7 +476,7 @@ Netlist::compilePlan()
             plan.in[3 * i + k] = cell.inputs[k];
         plan.out[i] = cell.output;
         plan.lut[i] = lutFor(cell.type);
-        plan.wop[i] = static_cast<uint8_t>(wordOpFor(cell.type));
+        wop[i] = static_cast<uint8_t>(wordOpFor(cell.type));
         plan.cell[i] = static_cast<uint32_t>(idx);
     }
 
@@ -488,9 +488,9 @@ Netlist::compilePlan()
     plan.runBegin.clear();
     plan.runOp.clear();
     for (size_t i = 0; i < n; ++i) {
-        if (i == 0 || plan.wop[i] != plan.wop[i - 1]) {
+        if (i == 0 || wop[i] != wop[i - 1]) {
             plan.runBegin.push_back(static_cast<uint32_t>(i));
-            plan.runOp.push_back(plan.wop[i]);
+            plan.runOp.push_back(wop[i]);
         }
     }
     plan.runBegin.push_back(static_cast<uint32_t>(n));

@@ -53,7 +53,6 @@
 namespace flexi
 {
 
-class LaneBatch;
 class LaneGroup;
 
 using NetId = uint32_t;
@@ -62,9 +61,9 @@ constexpr NetId kNoNet = ~0u;
 /**
  * Word-parallel opcode of one compiled plan step. elaborate()
  * assigns each combinational cell the op matching its boolean
- * function so the 64-lane evaluator (LaneBatch) can compute all 64
- * lanes of a step in a handful of bitwise word instructions instead
- * of 64 truth-table lookups. Lut is the generic fallback: expand the
+ * function so the wide-lane evaluator (LaneGroup) can compute 64
+ * lanes per word of a step in a handful of bitwise word instructions
+ * instead of per-lane truth-table lookups. Lut is the generic fallback: expand the
  * step's 8-bit truth table as a sum of minterms over the three input
  * words (padded slots read the always-zero scratch word, exactly
  * like the scalar index bits).
@@ -147,7 +146,6 @@ class BusHandle
 
   private:
     friend class Netlist;
-    friend class LaneBatch;
     friend class LaneGroup;
     std::vector<NetId> nets_;   ///< LSB first
     bool input_ = false;
@@ -429,11 +427,9 @@ class Netlist
     ///@}
 
   private:
-    /// The word-parallel evaluators share the structure and mirror
-    /// the per-instance state at bit granularity: LaneBatch packs 64
-    /// lanes into single words, LaneGroup generalizes to
+    /// The word-parallel evaluator shares the structure and mirrors
+    /// the per-instance state at bit granularity, in
     /// structure-of-arrays lane groups of several words per net.
-    friend class LaneBatch;
     friend class LaneGroup;
 
     /**
@@ -448,7 +444,6 @@ class Netlist
         std::vector<NetId> in;        ///< 3 slots per comb cell
         std::vector<NetId> out;       ///< output net per comb cell
         std::vector<uint8_t> lut;     ///< truth table per comb cell
-        std::vector<uint8_t> wop;     ///< WordOp per comb cell
         std::vector<uint32_t> cell;   ///< original cell index
         /**
          * Adjacent same-op steps fused into straight-line runs: run r

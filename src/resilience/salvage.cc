@@ -144,7 +144,7 @@ runSalvageStudy(const SalvageConfig &config)
     DieModel model(report.study.spec, config.study.params);
 
     report.dies.resize(report.study.dies.size());
-    parallelFor(report.study.dies.size(), config.threads,
+    parallelFor(report.study.dies.size(), config.study.threads,
                 [&](size_t i) {
         const DieResult &die = report.study.dies[i];
         DieSalvage &verdict = report.dies[i];

@@ -80,8 +80,6 @@ struct SalvageConfig
      */
     unsigned minKernels = 1;
     uint64_t maxInstructions = 60000;
-    /** 0 = auto (results thread-count-invariant regardless). */
-    unsigned threads = 0;
 };
 
 /** Result of a salvage study. All rates are at the binning voltage. */
@@ -103,8 +101,9 @@ struct SalvageReport
 
 /**
  * Run the wafer study of @p config.study and re-bin every failed die
- * with the recovery runtime. Requires gateLevelErrors (salvage needs
- * the recorded fault lists).
+ * with the recovery runtime, on config.study.threads workers for
+ * both passes (results are thread-count-invariant). Requires
+ * gateLevelErrors (salvage needs the recorded fault lists).
  */
 SalvageReport runSalvageStudy(const SalvageConfig &config);
 

@@ -44,8 +44,8 @@ computeDesignSpec(IsaKind isa)
 
 /**
  * Elaborated golden netlist of a fabricated core, built once per
- * process; per-die faulty instances are clone()d from it. Safe to
- * clone concurrently (the structure is immutable and shared).
+ * process; the lane groups of faulty dies are built from it. Safe to
+ * share across threads (the structure is immutable).
  */
 const Netlist &
 templateNetlist(IsaKind isa)
@@ -60,43 +60,23 @@ templateNetlist(IsaKind isa)
     return *fc8;
 }
 
-/** Probe one die at one voltage. */
+/**
+ * Probe one die at one voltage. A defective die's gate-level error
+ * count is added later by the lane phase of runWaferStudy; with
+ * gateLevelErrors off a statistical count stands in for it.
+ */
 DieProbe
 probeDie(const DieModel &model, const DieSample &die, double vdd,
-         const WaferStudyConfig &cfg, Netlist *faulty_netlist,
-         bool gate_deferred, const Program &test_prog,
-         const std::vector<uint8_t> &test_inputs, Rng &rng)
+         const WaferStudyConfig &cfg, Rng &rng)
 {
     DieProbe probe;
     probe.currentA = model.currentDraw(die, vdd);
 
     uint64_t errors = 0;
-    if (die.hasDefects()) {
-        if (gate_deferred) {
-            // Gate-level errors are added by the batched lane phase
-            // after all dies are sampled. Crucially this branch
-            // consumes no RNG draws — neither does the immediate
-            // gate-level branch below — so the per-die stream stays
-            // aligned with the scalar path.
-        } else if (cfg.gateLevelErrors && faulty_netlist) {
-            // Each probe is self-contained: runLockstep re-resets
-            // the DFF state, and clearing the toggle counters here
-            // keeps the probes from accumulating into each other's
-            // activity statistics (the 4.5 V counts used to leak
-            // into the 3 V probe's).
-            faulty_netlist->resetToggles();
-            LockstepResult res =
-                runLockstep(*faulty_netlist, cfg.isa, test_prog,
-                            test_inputs, cfg.testCycles);
-            errors += res.errors;
-            // A defect that the vectors happen to miss still usually
-            // perturbs analog margins; count the die as suspect with
-            // at least one error only if the fault sim saw any.
-        } else {
-            // Statistical fallback: defects corrupt a sizable share
-            // of cycles.
-            errors += 1 + rng.below(cfg.testCycles / 2);
-        }
+    if (die.hasDefects() && !cfg.gateLevelErrors) {
+        // Statistical fallback: defects corrupt a sizable share of
+        // cycles.
+        errors += 1 + rng.below(cfg.testCycles / 2);
     }
 
     double expected =
@@ -179,13 +159,6 @@ runWaferStudy(const WaferStudyConfig &config)
     result.spec = spec;
     result.dies.resize(wafer.numDies());
 
-    // Lane batching applies to the gate-level fault sim only; 1
-    // forces the scalar clone-per-die path.
-    unsigned lanes = std::min<unsigned>(
-        config.batchLanes ? config.batchLanes : 1,
-        LaneGroup::kMaxLanes);
-    const bool batched = golden && lanes > 1;
-
     const std::vector<DieSite> &sites = wafer.sites();
     parallelFor(sites.size(), config.threads, [&](size_t i) {
         const DieSite &site = sites[i];
@@ -199,50 +172,37 @@ runWaferStudy(const WaferStudyConfig &config)
         die.site = site;
         die.sample = model.sample(site, wafer, rng);
 
-        // Draw the die's defects (if any). The scalar path breaks a
-        // clone of the golden netlist right away; the batched path
-        // only records the fault list and binds it to a lane later —
-        // the RNG draws are identical either way.
-        std::unique_ptr<Netlist> faulty;
+        // Draw the die's defects (if any); the lane phase below
+        // binds the fault list to a lane.
         if (die.sample.hasDefects() && golden) {
-            if (!batched)
-                faulty = golden->clone();
             for (unsigned d = 0; d < die.sample.defects; ++d) {
                 NetId net = static_cast<NetId>(
                     rng.below(golden->numNets()));
-                StuckFault fault{net, rng.chance(0.5)};
-                if (faulty)
-                    faulty->injectFault(fault);
-                die.faults.push_back(fault);
+                die.faults.push_back({net, rng.chance(0.5)});
             }
         }
 
         die.at45V = probeDie(model, die.sample, kVddNominal, config,
-                             faulty.get(), batched, test_prog,
-                             test_inputs, rng);
-        if (faulty)
-            faulty->reset();
-        die.at3V = probeDie(model, die.sample, kVddLow, config,
-                            faulty.get(), batched, test_prog,
-                            test_inputs, rng);
+                             rng);
+        die.at3V = probeDie(model, die.sample, kVddLow, config, rng);
     });
 
-    if (batched) {
-        // Phase 2: gate-level fault sim of the defective dies, up to
-        // 512 to a wide lane group. Batch membership is a pure
-        // function of die index order (thread count cannot perturb
-        // it), each lane's lockstep error count is bit-identical to
-        // a scalar runLockstep of the same faulted die, and both
-        // voltage probes receive the same count — exactly what the
-        // scalar path computes by running the identical
-        // deterministic lockstep once per voltage.
+    if (golden) {
+        // Gate-level fault sim of the defective dies, up to 512 to a
+        // wide lane group. Group membership is a pure function of
+        // die index order (thread count cannot perturb it), each
+        // lane's lockstep error count is bit-identical to a scalar
+        // runLockstep of the same faulted die, and the lockstep is
+        // deterministic, so both voltage probes receive the same
+        // count.
         std::vector<size_t> defective;
         for (size_t i = 0; i < result.dies.size(); ++i)
             if (result.dies[i].sample.hasDefects())
                 defective.push_back(i);
-        size_t num_batches = (defective.size() + lanes - 1) / lanes;
-        parallelFor(num_batches, config.threads, [&](size_t b) {
-            size_t begin = b * lanes;
+        const size_t lanes = LaneGroup::kMaxLanes;
+        size_t num_groups = (defective.size() + lanes - 1) / lanes;
+        parallelFor(num_groups, config.threads, [&](size_t g) {
+            size_t begin = g * lanes;
             unsigned n = static_cast<unsigned>(std::min<size_t>(
                 lanes, defective.size() - begin));
             LaneGroup group(*golden, n);
@@ -252,7 +212,7 @@ runWaferStudy(const WaferStudyConfig &config)
                     group.injectFault(lane, f);
             LockstepGroupResult res = runLockstepGroup(
                 group, *golden, config.isa, test_prog, test_inputs,
-                config.testCycles, config.earlyExit);
+                config.testCycles, /*early_exit=*/false);
             for (unsigned lane = 0; lane < n; ++lane) {
                 DieResult &die =
                     result.dies[defective[begin + lane]];

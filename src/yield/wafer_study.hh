@@ -6,7 +6,8 @@
  * For every die site the model samples a manufacturing outcome; the
  * die is then "probed" at 3 V and 4.5 V exactly as on the MPI probe
  * station: defective dies are gate-level fault-simulated against the
- * golden model over the directed+random vector suite, timing-
+ * golden model over the directed+random vector suite (packed up to
+ * LaneGroup::kMaxLanes to a wide lane group), timing-
  * marginal dies produce margin-dependent intermittent errors, and a
  * die counts as fully functional only with zero output errors.
  */
@@ -69,26 +70,6 @@ struct WaferStudyConfig
      * site.index), so results are bit-identical for any value.
      */
     unsigned threads = 0;
-    /**
-     * Bit-parallel lanes for the gate-level fault sim of defective
-     * dies: dies are packed up to batchLanes to a LaneGroup (the
-     * wide-lane compiled backend, up to 512 lanes) and
-     * fault-simulated together; 1 forces the scalar clone-per-die
-     * path. Every die still draws from its own (seed, site.index)
-     * RNG stream and the lockstep error counts are lane-exact, so
-     * yields, per-die error counts, and fault lists are
-     * bit-identical for any value.
-     */
-    unsigned batchLanes = 512;
-    /**
-     * Retire a defective die's lane at its first pad mismatch
-     * instead of counting mismatches across the whole vector suite
-     * (batched gate-level path only). Yields are unchanged —
-     * functional() only asks errors == 0 — but per-die error counts
-     * become lower bounds; off by default to keep the probe-station
-     * error statistics exact.
-     */
-    bool earlyExit = false;
     DieModelParams params;
 };
 

@@ -27,7 +27,7 @@
 #include "dse/sweep.hh"
 #include "netlist/builder.hh"
 #include "netlist/flexicore_netlist.hh"
-#include "netlist/lane_batch.hh"
+#include "netlist/lane_group.hh"
 #include "netlist/netlist.hh"
 
 namespace flexi
@@ -358,7 +358,7 @@ TEST(Prune, DifferentialFuzzAcrossAllEvaluators)
     // Drive the original and the pruned FlexiCore4 with the same
     // random input stream and insist on identical observable
     // behavior from the scalar plan evaluator, the gate-by-gate
-    // reference evaluator, and the 64-lane batch evaluator.
+    // reference evaluator, and the wide-lane group evaluator.
     auto orig = buildFlexiCore4Netlist();
     PruneResult pr = prune(*orig);
     ASSERT_TRUE(pr.ok && pr.certified);
@@ -366,7 +366,7 @@ TEST(Prune, DifferentialFuzzAcrossAllEvaluators)
 
     auto ref = pruned.clone();   // evaluateReference instance
     constexpr unsigned kLanes = 8;
-    LaneBatch batch(pruned, kLanes);
+    LaneGroup group(pruned, kLanes);
 
     std::vector<std::string> ins, outs;
     for (const auto &[name, net] : orig->primaryInputs())
@@ -381,12 +381,13 @@ TEST(Prune, DifferentialFuzzAcrossAllEvaluators)
             orig->setInput(name, v);
             pruned.setInput(name, v);
             ref->setInput(name, v);
-            batch.setInputLanes(name, v ? ~uint64_t{0} : 0);
+            uint64_t bits = v ? ~uint64_t{0} : 0;
+            group.setInputLanes(name, &bits);
         }
         orig->evaluate();
         pruned.evaluate();
         ref->evaluateReference();
-        batch.evaluate();
+        group.evaluate();
         for (const std::string &name : outs) {
             bool want = orig->output(name);
             ASSERT_EQ(pruned.output(name), want)
@@ -397,14 +398,14 @@ TEST(Prune, DifferentialFuzzAcrossAllEvaluators)
                 << " at cycle " << cycle;
             NetId net = pruned.primaryOutputs().at(name);
             for (unsigned lane = 0; lane < kLanes; ++lane)
-                ASSERT_EQ(batch.netValue(net, lane), want)
+                ASSERT_EQ(group.netValue(net, lane), want)
                     << "lane " << lane << " diverged on " << name
                     << " at cycle " << cycle;
         }
         orig->clockEdge();
         pruned.clockEdge();
         ref->clockEdge();
-        batch.clockEdge();
+        group.clockEdge();
     }
 }
 

@@ -5,8 +5,8 @@
  * The contract under test: every lane of a LaneGroup is bit-identical
  * to a scalar Netlist instance carrying the same fault state and
  * stimulus — against the compiled evaluation plan (evaluate()), the
- * cell-by-cell interpreter (evaluateReference()), and the 64-lane
- * LaneBatch — on all four fabricated cores, at every group width
+ * cell-by-cell interpreter (evaluateReference()) — on all four
+ * fabricated cores, at every group width
  * (1 word / 4 words / 8 words) and at the word-boundary lane counts
  * (1, 63, 64, 65, 255, 256, 512), down to per-lane toggle counts.
  * The group lockstep harness must likewise reproduce runLockstep()
@@ -20,7 +20,6 @@
 
 #include "common/rng.hh"
 #include "netlist/flexicore_netlist.hh"
-#include "netlist/lane_batch.hh"
 #include "netlist/lane_group.hh"
 #include "netlist/lockstep.hh"
 #include "netlist/netlist.hh"
@@ -78,6 +77,11 @@ runDifferential(const Design &design, unsigned width, int cycles,
     size_t nets = golden->numNets();
     size_t dffs = golden->numDffs() ? golden->numDffs() : 1;
     unsigned words = group.words();
+    unsigned instr_w = 0;
+    while (golden->findNet("instr" + std::to_string(instr_w)) !=
+           kNoNet)
+        ++instr_w;
+    BusHandle instr = golden->inputBus("instr", instr_w);
 
     Rng rng(deriveSeed(seed, width));
     std::array<uint64_t, LaneGroup::kMaxWords> bits{};
@@ -92,6 +96,19 @@ runDifferential(const Design &design, unsigned width, int cycles,
                 mirrors[lane]->setInput(in_name, v);
                 if (refs[lane])
                     refs[lane]->setInput(in_name, v);
+            }
+        }
+        // Every third cycle the instruction bus instead carries one
+        // value on all lanes (uniform setBus, as the lockstep
+        // drivers drive the input port), against scalar setBus.
+        if (cycle % 3 == 1) {
+            unsigned v =
+                static_cast<unsigned>(rng.below(1u << instr_w));
+            group.setBus(instr, v);
+            for (unsigned lane = 0; lane < width; ++lane) {
+                mirrors[lane]->setBus(instr, v);
+                if (refs[lane])
+                    refs[lane]->setBus(instr, v);
             }
         }
 
@@ -201,8 +218,8 @@ runDifferential(const Design &design, unsigned width, int cycles,
 
 TEST(LaneGroup, OneWordWidthsMatchScalarAndReferenceAllCores)
 {
-    // W=1: the LaneBatch-equivalent group widths, plus the scalar
-    // degenerate case and the dead-top-lane boundary.
+    // W=1: the one-word group widths, plus the scalar degenerate
+    // case and the dead-top-lane boundary.
     for (const auto &design : kDesigns) {
         SCOPED_TRACE(design.name);
         runDifferential(design, 1, 30, 0x6AB1u);
@@ -231,78 +248,6 @@ TEST(LaneGroup, EightWordFullWidthMatchesScalarAndReferenceAllCores)
         SCOPED_TRACE(design.name);
         runDifferential(design, 512, 10, 0x6AB512u);
     }
-}
-
-TEST(LaneGroup, MatchesLaneBatchBitForBit)
-{
-    // The 64-lane word evaluator is the proven PR-5 oracle: a W=1
-    // group fed the same stimulus and faults must match it on every
-    // net and every toggle counter, cycle by cycle.
-    auto golden = buildFlexiCore4Netlist();
-    unsigned width = 64;
-    LaneGroup group(*golden, width);
-    LaneBatch batch(*golden, width);
-    group.enableToggles(true);
-    batch.enableToggles(true);
-
-    std::vector<std::string> input_names;
-    for (const auto &[in_name, net] : golden->primaryInputs())
-        input_names.push_back(in_name);
-    size_t nets = golden->numNets();
-    size_t dffs = golden->numDffs();
-
-    Rng rng(0xBA7C4u);
-    for (int cycle = 0; cycle < 40; ++cycle) {
-        for (const auto &in_name : input_names) {
-            uint64_t bits = rng.next();
-            group.setInputLanes(in_name, &bits);
-            batch.setInputLanes(in_name, bits);
-        }
-        if (cycle == 3) {
-            for (unsigned lane = 0; lane < width; lane += 3) {
-                StuckFault f;
-                f.net = static_cast<NetId>(rng.below(nets));
-                f.value = rng.chance(0.5);
-                group.injectFault(lane, f);
-                batch.injectFault(lane, f);
-            }
-        }
-        if (cycle == 9) {
-            for (unsigned lane = 1; lane < width; lane += 5) {
-                TransientFault t;
-                t.net = static_cast<NetId>(rng.below(nets));
-                t.value = rng.chance(0.5);
-                t.fromCycle = group.cycle() + 1;
-                t.untilCycle = t.fromCycle + 2;
-                group.injectTransient(lane, t);
-                batch.injectTransient(lane, t);
-            }
-        }
-        if (cycle == 15) {
-            for (unsigned lane = 2; lane < width; lane += 7) {
-                size_t d = rng.below(dffs);
-                group.flipDff(lane, d);
-                batch.flipDff(lane, d);
-            }
-        }
-
-        group.evaluate();
-        group.clockEdge();
-        group.evaluate();
-        batch.evaluate();
-        batch.clockEdge();
-        batch.evaluate();
-
-        for (unsigned lane = 0; lane < width; ++lane)
-            for (NetId n = 0; n < static_cast<NetId>(nets); ++n)
-                if (group.netValue(n, lane) !=
-                    batch.netValue(n, lane))
-                    FAIL() << "cycle " << cycle << " lane " << lane
-                           << " net " << n;
-    }
-    for (unsigned lane = 0; lane < width; ++lane)
-        ASSERT_EQ(group.toggleCounts(lane), batch.toggleCounts(lane))
-            << "lane " << lane;
 }
 
 TEST(LaneGroup, ResetRestoresPowerOnState)
@@ -557,11 +502,11 @@ TEST(LaneGroup, ByteBusPathsMatchGenericPaths)
 }
 
 /**
- * Round-trip fuzz for the per-lane DFF snapshot API across every
- * backend: states harvested from a live faulted scalar run —
- * including saves taken while a transient window is open and forcing
- * nets — restored into arbitrary lanes of LaneBatch and LaneGroup
- * words of every width must read back bit-identically, without
+ * Round-trip fuzz for the per-lane DFF snapshot API: states
+ * harvested from a live faulted scalar run — including saves taken
+ * while a transient window is open and forcing nets — restored into
+ * arbitrary lanes of LaneGroup words of every width must read back
+ * bit-identically, without
  * perturbing neighbouring lanes, and regardless of any fault traffic
  * the destination lane itself carries.
  */
@@ -611,7 +556,6 @@ TEST(LaneGroup, DffStateRoundTripAcrossWidthsAndMidTransient)
         for (unsigned width : kWidths) {
             SCOPED_TRACE(width);
             LaneGroup group(*golden, width);
-            LaneBatch batch(*golden, std::min(width, 64u));
             // Fault traffic on the destination does not bleed into
             // the snapshot path.
             StuckFault f{static_cast<NetId>(rng.below(nets)),
@@ -632,10 +576,6 @@ TEST(LaneGroup, DffStateRoundTripAcrossWidthsAndMidTransient)
                 laneSnap[lane] =
                     static_cast<unsigned>(rng.below(snaps.size()));
                 group.restoreDffState(lane, snaps[laneSnap[lane]]);
-                unsigned blane = lane % batch.lanes();
-                batch.restoreDffState(blane, snaps[laneSnap[lane]]);
-                ASSERT_EQ(batch.saveDffState(blane),
-                          snaps[laneSnap[lane]]);
             }
             for (unsigned lane = 0; lane < width; ++lane)
                 ASSERT_EQ(group.saveDffState(lane),

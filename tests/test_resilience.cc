@@ -474,10 +474,8 @@ TEST(Salvage, ThreadCountDoesNotChangeVerdicts)
     cfg.study.isa = IsaKind::FlexiCore4;
     cfg.study.seed = 7;
     cfg.study.testCycles = 400;
-    cfg.threads = 1;
     cfg.study.threads = 1;
     SalvageReport serial = runSalvageStudy(cfg);
-    cfg.threads = 4;
     cfg.study.threads = 4;
     SalvageReport threaded = runSalvageStudy(cfg);
 

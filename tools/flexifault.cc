@@ -28,9 +28,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 
 #include "analysis/atpg.hh"
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 #include "resilience/fault_campaign.hh"
 #include "resilience/salvage.hh"
 #include "yield/test_program.hh"
@@ -92,19 +95,24 @@ struct Args
         return false;
     }
 
-    /** Strictly numeric and non-negative, else usage error. */
-    uint64_t
-    number(const char *name, uint64_t fallback)
+    /**
+     * Consume "--name <value>" as an integer that fits T, else
+     * usage error.
+     */
+    template <typename T>
+    T
+    number(const char *name, T fallback)
     {
         const char *v = option(name);
         if (!v)
             return fallback;
-        char *end = nullptr;
-        unsigned long long n = std::strtoull(v, &end, 0);
-        if (*v == '-' || *v == '\0' || end == v || *end != '\0')
-            usageError("%s: expected a non-negative integer, got "
-                       "'%s'", name, v);
-        return n;
+        std::optional<T> n = parseUnsigned<T>(v);
+        if (!n)
+            usageError("%s: expected an integer in 0..%llu, got '%s'",
+                       name,
+                       (unsigned long long)std::numeric_limits<T>::max(),
+                       v);
+        return *n;
     }
 
     /**
@@ -118,13 +126,11 @@ struct Args
         const char *v = option(name);
         if (!v)
             return fallback;
-        char *end = nullptr;
-        unsigned long long n = std::strtoull(v, &end, 0);
-        if (*v == '-' || end == v || *end != '\0' || n == 0 ||
-            n > max)
+        std::optional<unsigned> n = parseUnsigned<unsigned>(v, 1, max);
+        if (!n)
             usageError("%s: expected a lane count in 1..%u, got "
                        "'%s'", name, max, v);
-        return static_cast<unsigned>(n);
+        return *n;
     }
 };
 
@@ -134,11 +140,10 @@ cmdCampaign(Args &args)
     CampaignConfig cfg;
     if (const char *isa = args.option("--isa"))
         cfg.isa = parseIsa(isa);
-    cfg.seed = args.number("--seed", 1);
-    cfg.injections =
-        static_cast<unsigned>(args.number("--injections", 96));
-    cfg.workUnits = args.number("--work", 6);
-    cfg.threads = static_cast<unsigned>(args.number("--threads", 0));
+    cfg.seed = args.number<uint64_t>("--seed", 1);
+    cfg.injections = args.number<unsigned>("--injections", 96);
+    cfg.workUnits = args.number<size_t>("--work", 6);
+    cfg.threads = args.number<unsigned>("--threads", 0);
     // 512 = full wide-lane prescreen, 1 = scalar lane-by-lane
     // (debuggable); outcomes are bit-identical for any value.
     cfg.batchLanes = args.laneCount("--batch-lanes", 512,
@@ -172,11 +177,10 @@ cmdSalvage(Args &args)
     SalvageConfig cfg;
     if (const char *isa = args.option("--isa"))
         cfg.study.isa = parseIsa(isa);
-    cfg.study.seed = args.number("--seed", 42);
-    cfg.study.testCycles = args.number("--cycles", 500);
-    cfg.threads = static_cast<unsigned>(args.number("--threads", 0));
-    cfg.minKernels =
-        static_cast<unsigned>(args.number("--min-kernels", 1));
+    cfg.study.seed = args.number<uint64_t>("--seed", 42);
+    cfg.study.testCycles = args.number<uint64_t>("--cycles", 500);
+    cfg.study.threads = args.number<unsigned>("--threads", 0);
+    cfg.minKernels = args.number<unsigned>("--min-kernels", 1);
     if (const char *vdd = args.option("--vdd")) {
         char *end = nullptr;
         cfg.vdd = std::strtod(vdd, &end);
@@ -218,10 +222,10 @@ cmdAtpg(Args &args)
     AtpgConfig cfg;
     if (const char *isa = args.option("--isa"))
         cfg.isa = parseIsa(isa);
-    uint64_t seed = args.number("--seed", 11);
-    cfg.simCycles = args.number("--cycles", 1500);
-    cfg.maxFaults = args.number("--max-faults", 0);
-    cfg.threads = static_cast<unsigned>(args.number("--threads", 0));
+    uint64_t seed = args.number<uint64_t>("--seed", 11);
+    cfg.simCycles = args.number<uint64_t>("--cycles", 1500);
+    cfg.maxFaults = args.number<size_t>("--max-faults", 0);
+    cfg.threads = args.number<unsigned>("--threads", 0);
 
     Program prog = makeTestProgram(cfg.isa, seed);
     auto inputs = makeTestInputs(cfg.isa, 256, seed);

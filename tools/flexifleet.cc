@@ -34,9 +34,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
 
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 #include "fleet/checkpoint.hh"
 #include "fleet/fleet.hh"
 #include "kernels/fc8_programs.hh"
@@ -84,23 +87,22 @@ struct Args
         return false;
     }
 
-    /** Strict unsigned option: all-numeric and within range, else
-     *  usage error (exit 2). Rejects negatives outright. */
-    uint64_t
-    number(const char *name, uint64_t fallback, uint64_t min = 0,
-           uint64_t max = UINT64_MAX) const
+    /** Strict option of type T in [min, max] (by default T's whole
+     *  range), else usage error (exit 2). Rejects any sign. */
+    template <typename T>
+    T
+    number(const char *name, T fallback, T min = 0,
+           T max = std::numeric_limits<T>::max()) const
     {
         const char *v = option(name);
         if (!v)
             return fallback;
-        char *end = nullptr;
-        unsigned long long n = std::strtoull(v, &end, 0);
-        if (*v == '-' || *v == '\0' || end == v || *end != '\0' ||
-            n < min || n > max)
+        std::optional<T> n = parseUnsigned<T>(v, min, max);
+        if (!n)
             usageError("%s: expected an integer in %llu..%llu, got "
                        "'%s'", name, (unsigned long long)min,
                        (unsigned long long)max, v);
-        return n;
+        return *n;
     }
 
     double
@@ -154,16 +156,14 @@ configFromArgs(const Args &args)
     FleetConfig cfg;
     if (const char *isa = args.option("--isa"))
         cfg.isa = parseIsa(isa);
-    cfg.seed = args.number("--seed", 42);
-    cfg.numDies = static_cast<uint32_t>(
-        args.number("--dies", 512, 1, UINT32_MAX));
-    cfg.epochs = static_cast<uint32_t>(
-        args.number("--epochs", 4, 1, (1u << 20) - 1));
+    cfg.seed = args.number<uint64_t>("--seed", 42);
+    cfg.numDies = args.number<uint32_t>("--dies", 512, 1);
+    cfg.epochs = args.number<uint32_t>("--epochs", 4, 1, (1u << 20) - 1);
     if (const char *k = args.option("--kernel"))
         cfg.kernel = parseKernel(k);
     if (const char *p = args.option("--program"))
         cfg.fc8Program = parseFc8Program(p);
-    cfg.workUnits = args.number("--work", 2, 1);
+    cfg.workUnits = args.number<size_t>("--work", 2, 1);
     cfg.transientsPerEpoch = args.real("--transients", 0.25);
     cfg.flipsPerEpoch = args.real("--flips", 0.05);
     if (args.flag("--lockstep"))
@@ -174,12 +174,12 @@ configFromArgs(const Args &args)
         cfg.detectors.watchdog = false;
     if (args.flag("--no-recovery"))
         cfg.recovery.enabled = false;
-    cfg.recovery.maxRetries = static_cast<unsigned>(
-        args.number("--retries", cfg.recovery.maxRetries, 0, 64));
+    cfg.recovery.maxRetries = args.number<unsigned>(
+        "--retries", cfg.recovery.maxRetries, 0, 64);
     if (args.flag("--no-restart"))
         cfg.recovery.allowRestart = false;
-    cfg.maxRepages = static_cast<unsigned>(
-        args.number("--max-repages", 1, 0, 1u << 20));
+    cfg.maxRepages =
+        args.number<unsigned>("--max-repages", 1, 0, 1u << 20);
     if (const char *vdd = args.option("--vdd")) {
         char *end = nullptr;
         cfg.vdd = std::strtod(vdd, &end);
@@ -187,13 +187,10 @@ configFromArgs(const Args &args)
             usageError("--vdd: expected a positive voltage, got "
                        "'%s'", vdd);
     }
-    cfg.minKernels = static_cast<unsigned>(
-        args.number("--min-kernels", 1, 1, 32));
-    cfg.threads =
-        static_cast<unsigned>(args.number("--threads", 0));
-    cfg.batchLanes = static_cast<unsigned>(
-        args.number("--batch-lanes", LaneGroup::kMaxLanes, 1,
-                    LaneGroup::kMaxLanes));
+    cfg.minKernels = args.number<unsigned>("--min-kernels", 1, 1, 32);
+    cfg.threads = args.number<unsigned>("--threads", 0);
+    cfg.batchLanes = args.number<unsigned>(
+        "--batch-lanes", LaneGroup::kMaxLanes, 1, LaneGroup::kMaxLanes);
     return cfg;
 }
 
@@ -281,8 +278,7 @@ cmdRun(const Args &args)
 {
     FleetConfig cfg = configFromArgs(args);
     const char *checkpoint = args.option("--checkpoint");
-    uint32_t stopAfter = static_cast<uint32_t>(
-        args.number("--stop-after", 0, 0, UINT32_MAX));
+    uint32_t stopAfter = args.number<uint32_t>("--stop-after", 0);
 
     FleetEngine engine(cfg);
     FleetState state = engine.init();
@@ -307,13 +303,12 @@ cmdResume(const Args &args, bool runEpochs)
     if (runEpochs) {
         // Execution knobs may change across a resume; everything
         // semantic comes from the checkpoint.
-        state.config.threads = static_cast<unsigned>(
-            args.number("--threads", state.config.threads));
-        state.config.batchLanes = static_cast<unsigned>(
-            args.number("--batch-lanes", state.config.batchLanes, 1,
-                        LaneGroup::kMaxLanes));
-        uint32_t stopAfter = static_cast<uint32_t>(
-            args.number("--stop-after", 0, 0, UINT32_MAX));
+        state.config.threads =
+            args.number<unsigned>("--threads", state.config.threads);
+        state.config.batchLanes = args.number<unsigned>(
+            "--batch-lanes", state.config.batchLanes, 1,
+            LaneGroup::kMaxLanes);
+        uint32_t stopAfter = args.number<uint32_t>("--stop-after", 0);
         FleetEngine engine(state.config);
         engine.run(state, stopAfter, checkpoint);
     }

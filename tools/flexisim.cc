@@ -27,9 +27,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 #include "dse/design_point.hh"
 #include "sys/flexichip.hh"
 
@@ -69,17 +72,18 @@ makeChip(const char *name)
     usageError("unknown ISA '%s' (expected fc4|fc8|ext|ls)", name);
 }
 
-/** Strict unsigned argument value: all-numeric, in [0, max]. */
-uint64_t
-parseNumber(const char *what, const char *v, uint64_t max)
+/** Strict unsigned argument value of type T, else usage error. */
+template <typename T>
+T
+parseNumber(const char *what, const char *v)
 {
-    char *end = nullptr;
-    unsigned long long n = std::strtoull(v, &end, 0);
-    if (*v == '-' || *v == '\0' || end == v || *end != '\0' ||
-        n > max)
+    std::optional<T> n = parseUnsigned<T>(v);
+    if (!n)
         usageError("%s: expected an integer in 0..%llu, got '%s'",
-                   what, (unsigned long long)max, v);
-    return n;
+                   what,
+                   (unsigned long long)std::numeric_limits<T>::max(),
+                   v);
+    return *n;
 }
 
 } // namespace
@@ -95,8 +99,8 @@ main(int argc, char **argv)
             trace = true;
         } else if (!std::strcmp(argv[base], "--max-cycles") &&
                    base + 1 < argc) {
-            max_cycles = parseNumber("--max-cycles", argv[++base],
-                                     UINT64_MAX);
+            max_cycles =
+                parseNumber<uint64_t>("--max-cycles", argv[++base]);
         } else {
             break;
         }
@@ -125,8 +129,7 @@ main(int argc, char **argv)
         }
 
         for (int i = base + 2; i < argc; ++i)
-            chip->pushInput(static_cast<uint8_t>(
-                parseNumber("input", argv[i], 255)));
+            chip->pushInput(parseNumber<uint8_t>("input", argv[i]));
 
         // The cycle watchdog runs the chip in slices so a spinning
         // program is cut off near (not exactly at) the cycle limit —
