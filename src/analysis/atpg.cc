@@ -1,5 +1,6 @@
 #include "atpg.hh"
 
+#include <algorithm>
 #include <memory>
 
 #include "analysis/equiv.hh"
@@ -54,34 +55,53 @@ runAtpg(const AtpgConfig &config, const Program &prog,
     size_t universe = cells.size() * 2;
     size_t count = config.maxFaults && config.maxFaults < universe
                        ? config.maxFaults : universe;
-    std::vector<size_t> picks(count);
-    for (size_t i = 0; i < count; ++i)
-        picks[i] = i * universe / count;
-
     std::vector<AtpgFault> verdicts(count);
-    std::vector<uint64_t> solves(count, 0), conflicts(count, 0);
-    parallelFor(count, config.threads, [&](size_t i) {
-        size_t idx = picks[i];
+    for (size_t i = 0; i < count; ++i) {
+        size_t idx = i * universe / count;
         const CellInst &cell = cells[idx / 2];
         AtpgFault &v = verdicts[i];
         v.fault = StuckFault{cell.output, (idx & 1) != 0};
         v.net = golden->netName(cell.output);
         v.module = cell.module;
+    }
 
+    // Fault simulation, one stuck-at per lane. Group membership is a
+    // pure function of fault index, so the thread count cannot
+    // change a verdict; each lane's clean/dirty outcome equals a
+    // scalar runLockstep of the same faulted die.
+    const size_t lanes = LaneGroup::kMaxLanes;
+    std::vector<uint8_t> detected(count, 0);
+    parallelFor((count + lanes - 1) / lanes, config.threads,
+                [&](size_t g) {
+        size_t begin = g * lanes;
+        unsigned n = static_cast<unsigned>(
+            std::min<size_t>(lanes, count - begin));
+        LaneGroup group(*golden, n);
+        for (unsigned l = 0; l < n; ++l)
+            group.injectFault(l, verdicts[begin + l].fault);
+        LockstepGroupResult res = runLockstepGroup(
+            group, *golden, config.isa, prog, inputs,
+            config.simCycles, /*early_exit=*/true);
+        for (unsigned l = 0; l < n; ++l)
+            detected[begin + l] = !res.laneClean(l);
+    });
+
+    std::vector<size_t> escapes;
+    for (size_t i = 0; i < count; ++i)
+        if (!detected[i])
+            escapes.push_back(i);
+
+    // Simulation escapes: ask the SAT miter whether *any* input and
+    // state assignment distinguishes the faulty die.
+    std::vector<uint64_t> solves(escapes.size(), 0),
+        conflicts(escapes.size(), 0);
+    parallelFor(escapes.size(), config.threads, [&](size_t e) {
+        AtpgFault &v = verdicts[escapes[e]];
         std::unique_ptr<Netlist> faulty = golden->clone();
         faulty->injectFault(v.fault);
-        LockstepResult sim = runLockstep(*faulty, config.isa, prog,
-                                         inputs, config.simCycles);
-        v.simDetected = sim.errors > 0;
-        if (v.simDetected)
-            return;
-
-        // Simulation escape: ask the SAT miter whether *any* input
-        // and state assignment distinguishes the faulty die.
-        faulty->reset();
         EquivResult eq = checkNetlistEquivalence(*golden, *faulty);
-        solves[i] = eq.solves;
-        conflicts[i] = eq.conflicts;
+        solves[e] = eq.solves;
+        conflicts[e] = eq.conflicts;
         if (eq.proven) {
             v.redundant = true;
         } else if (eq.hasCex) {
@@ -94,13 +114,11 @@ runAtpg(const AtpgConfig &config, const Program &prog,
 
     AtpgReport report;
     report.faults = count;
-    for (size_t i = 0; i < count; ++i)
-        report.solves += solves[i], report.conflicts += conflicts[i];
-    for (AtpgFault &v : verdicts) {
-        if (v.simDetected) {
-            ++report.simDetected;
-            continue;
-        }
+    report.simDetected = count - escapes.size();
+    for (size_t e = 0; e < escapes.size(); ++e) {
+        AtpgFault &v = verdicts[escapes[e]];
+        report.solves += solves[e];
+        report.conflicts += conflicts[e];
         report.testable += v.testable;
         report.redundant += v.redundant;
         report.escapes.push_back(std::move(v));

@@ -32,14 +32,13 @@
 namespace flexi
 {
 
-/** Verdict for one stuck-at fault. */
+/** Verdict for one stuck-at fault the vector suite missed. */
 struct AtpgFault
 {
     StuckFault fault;
     std::string net;       ///< netName() of the faulted net
     std::string module;    ///< module of the driving cell
-    bool simDetected = false;
-    /** Valid for sim escapes: SAT found a distinguishing pattern. */
+    /** SAT found a distinguishing pattern. */
     bool testable = false;
     /** Proven unobservable in any single cycle (UNSAT miter). */
     bool redundant = false;
@@ -83,7 +82,7 @@ struct AtpgReport
 /**
  * Run fault simulation of @p prog / @p inputs (typically the
  * makeTestProgram() vector suite) over the configured fault list,
- * then SAT-triage every escape.
+ * one fault per LaneGroup lane, then SAT-triage every escape.
  */
 AtpgReport runAtpg(const AtpgConfig &config, const Program &prog,
                    const std::vector<uint8_t> &inputs);

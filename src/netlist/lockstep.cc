@@ -122,20 +122,15 @@ runLockstepGroup(LaneGroup &group, const Netlist &golden_netlist,
 {
     if (!golden_netlist.elaborated())
         fatal("netlist must be elaborated");
-
-    bool wide_bus = isa == IsaKind::ExtAcc4 ||
-                    isa == IsaKind::LoadStore4;
-    bool word_pc = isa == IsaKind::LoadStore4;
+    if (isa != IsaKind::FlexiCore4 && isa != IsaKind::FlexiCore8)
+        fatal("lane lockstep drives the fabricated cores' 8-bit "
+              "program bus, not %s", isaName(isa));
 
     unsigned w = isaDataWidth(isa);
     const std::vector<uint8_t> &image = prog.page(0);
-    auto fetch = [&](unsigned pc) -> uint8_t {
-        return pc < image.size() ? image[pc] : 0;
-    };
 
     BusHandle pc_bus = golden_netlist.outputBus("pc", 7);
-    BusHandle instr_bus =
-        golden_netlist.inputBus("instr", wide_bus ? 16 : 8);
+    BusHandle instr_bus = golden_netlist.inputBus("instr", 8);
     BusHandle iport_bus = golden_netlist.inputBus("iport", w);
     BusHandle oport_bus = golden_netlist.outputBus("oport", w);
 
@@ -146,18 +141,13 @@ runLockstepGroup(LaneGroup &group, const Netlist &golden_netlist,
     LaneGroup::PadCone pad_cone =
         group.padCone({&pc_bus, &oport_bus});
 
-    // The narrow-bus cores fetch one byte at the lane's own PC every
-    // cycle: exactly LaneGroup's fused indexed drive. Pad the image
-    // to the PC pads' full address space (out-of-image fetches read
-    // 0, as the scalar fetch lambda) so no lane needs a bounds check.
-    std::vector<uint8_t> fetch_table;
-    if (!wide_bus) {
-        fetch_table.assign(size_t(1)
-                               << pc_bus.width(), 0);
-        for (size_t a = 0;
-             a < fetch_table.size() && a < image.size(); ++a)
-            fetch_table[a] = image[a];
-    }
+    // Each lane fetches one byte at its own PC every cycle: exactly
+    // LaneGroup's fused indexed drive. Pad the image to the PC pads'
+    // full address space (out-of-image fetches read 0, as the scalar
+    // fetch lambda) so no lane needs a bounds check.
+    std::vector<uint8_t> fetch_table(size_t(1) << pc_bus.width(), 0);
+    for (size_t a = 0; a < fetch_table.size() && a < image.size(); ++a)
+        fetch_table[a] = image[a];
 
     // Memoized per-address decode of the golden program: the driver
     // only consumes the instruction length and whether the input bus
@@ -184,13 +174,6 @@ runLockstepGroup(LaneGroup &group, const Netlist &golden_netlist,
     for (unsigned lane = 0; lane < lanes; ++lane)
         res.activeMask[lane / 64] |= 1ull << (lane % 64);
     size_t input_idx = 0;
-
-    // Per-lane pad snapshots for the 16-bit program bus of the DSE
-    // cores, whose two-byte fetch keeps the explicit gather + uint32
-    // scatter; the narrow cores fetch through driveBusFromTable and
-    // never leave the bit domain.
-    std::array<uint8_t, LaneGroup::kMaxLanes> die_pc{};
-    std::array<uint32_t, LaneGroup::kMaxLanes> die_instr16{};
 
     auto any_active = [&]() {
         for (uint64_t m : res.activeMask)
@@ -221,22 +204,9 @@ runLockstepGroup(LaneGroup &group, const Netlist &golden_netlist,
             iport_prev = env.held;
         }
 
-        unsigned cycles = wide_bus ? 1 : memo.bytes;
-        for (unsigned c = 0; c < cycles; ++c) {
-            if (wide_bus) {
-                group.gatherBusBytes(pc_bus, die_pc.data());
-                for (unsigned lane = 0; lane < lanes; ++lane) {
-                    unsigned base = word_pc ? die_pc[lane] * 2
-                                            : die_pc[lane];
-                    die_instr16[lane] =
-                        fetch(base) |
-                        static_cast<unsigned>(fetch(base + 1)) << 8;
-                }
-                group.setBusLanes(instr_bus, die_instr16.data());
-            } else {
-                group.driveBusFromTable(pc_bus, instr_bus,
-                                        fetch_table.data());
-            }
+        for (unsigned c = 0; c < memo.bytes; ++c) {
+            group.driveBusFromTable(pc_bus, instr_bus,
+                                    fetch_table.data());
             group.evaluate();
             group.clockEdge();
             group.exposeState(pad_cone);

@@ -93,6 +93,10 @@ struct LockstepGroupResult
  * only the PC/OPORT pad cones (LaneGroup::exposeState), which is
  * exact for the compared pads.
  *
+ * Only the fabricated cores (FlexiCore4/8, 8-bit program bus) are
+ * supported; each lane's fetch is LaneGroup::driveBusFromTable. Any
+ * other @p isa is fatal — the 16-bit-bus DSE cores use runLockstep.
+ *
  * @param golden_netlist the elaborated netlist the group was built
  *        from (or any clone sharing its structure); used only to
  *        resolve the pad buses

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <utility>
 
 #include "analysis/atpg.hh"
 #include "assembler/assembler.hh"
@@ -16,6 +18,7 @@
 #include "kernels/inputs.hh"
 #include "kernels/kernels.hh"
 #include "netlist/flexicore_netlist.hh"
+#include "netlist/lockstep.hh"
 #include "resilience/checked_run.hh"
 #include "resilience/fault_campaign.hh"
 #include "resilience/salvage.hh"
@@ -518,6 +521,44 @@ TEST(Atpg, SampledRunTriagesEveryEscape)
     }
     EXPECT_GE(rep.testableCoverage(), rep.simCoverage());
     EXPECT_LE(rep.simCoverage(), 1.0);
+
+    // The lane-packed fault simulation against the scalar reference:
+    // a sampled fault (runAtpg's strided pick) is an escape exactly
+    // when a faulted clone runs clean through runLockstep.
+    std::set<std::pair<NetId, bool>> escaped;
+    for (const AtpgFault &f : rep.escapes)
+        escaped.insert({f.fault.net, f.fault.value});
+    auto golden = buildFlexiCore4Netlist();
+    size_t universe = golden->cells().size() * 2;
+    for (size_t i = 0; i < rep.faults; ++i) {
+        size_t idx = i * universe / rep.faults;
+        StuckFault f{golden->cells()[idx / 2].output, (idx & 1) != 0};
+        auto die = golden->clone();
+        die->injectFault(f);
+        LockstepResult sim =
+            runLockstep(*die, cfg.isa, prog, inputs, cfg.simCycles);
+        EXPECT_EQ(escaped.count({f.net, f.value}) == 1,
+                  sim.errors == 0) << "fault " << i;
+    }
+
+    // Group packing depends only on fault index: the thread count
+    // cannot change any verdict, pattern or solver statistic.
+    for (unsigned threads : {1u, 4u}) {
+        cfg.threads = threads;
+        AtpgReport other = runAtpg(cfg, prog, inputs);
+        EXPECT_EQ(other.simDetected, rep.simDetected) << threads;
+        EXPECT_EQ(other.solves, rep.solves) << threads;
+        EXPECT_EQ(other.conflicts, rep.conflicts) << threads;
+        ASSERT_EQ(other.escapes.size(), rep.escapes.size()) << threads;
+        for (size_t e = 0; e < rep.escapes.size(); ++e) {
+            const AtpgFault &a = rep.escapes[e], &b = other.escapes[e];
+            EXPECT_EQ(a.fault.net, b.fault.net) << e;
+            EXPECT_EQ(a.fault.value, b.fault.value) << e;
+            EXPECT_EQ(a.testable, b.testable) << e;
+            EXPECT_EQ(a.redundant, b.redundant) << e;
+            EXPECT_EQ(a.pattern, b.pattern) << e;
+        }
+    }
 }
 
 } // namespace

@@ -62,6 +62,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -79,6 +80,7 @@
 #include "tech/technology.hh"
 #include "assembler/assembler.hh"
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 #include "kernels/fc8_programs.hh"
 #include "kernels/kernels.hh"
 #include "netlist/flexicore_netlist.hh"
@@ -236,18 +238,15 @@ main(int argc, char **argv)
         } else if (arg == "--hash") {
             do_hash = true;
         } else if (arg == "--bmc") {
-            if (++i >= argc)
+            std::optional<unsigned> n;
+            if (++i >= argc || !(n = parseUnsigned<unsigned>(argv[i], 1)))
                 return usage();
-            bmc_depth = static_cast<unsigned>(std::atoi(argv[i]));
-            if (bmc_depth == 0)
-                return usage();
+            bmc_depth = *n;
         } else if (arg == "--induct") {
-            if (++i >= argc)
+            std::optional<unsigned> n;
+            if (++i >= argc || !(n = parseUnsigned<unsigned>(argv[i], 1)))
                 return usage();
-            induct_depth =
-                static_cast<unsigned>(std::atoi(argv[i]));
-            if (induct_depth == 0)
-                return usage();
+            induct_depth = *n;
         } else if (arg == "--prop") {
             if (++i >= argc)
                 return usage();
@@ -280,11 +279,10 @@ main(int argc, char **argv)
             if (vdd <= 0.0)
                 return usage();
         } else if (arg == "--paths") {
-            if (++i >= argc)
+            std::optional<size_t> n;
+            if (++i >= argc || !(n = parseUnsigned<size_t>(argv[i], 1)))
                 return usage();
-            top_paths = static_cast<size_t>(std::atoi(argv[i]));
-            if (top_paths == 0)
-                return usage();
+            top_paths = *n;
         } else if (arg == "--suppress") {
             if (++i >= argc)
                 return usage();
