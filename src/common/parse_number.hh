@@ -1,6 +1,6 @@
 /**
  * @file
- * Strict unsigned-integer parsing for command-line option values.
+ * Strict number parsing for command-line option values.
  */
 
 #ifndef FLEXI_COMMON_PARSE_NUMBER_HH
@@ -8,6 +8,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
@@ -40,6 +41,26 @@ parseUnsigned(const char *text, T min = 0,
     if (errno == ERANGE || *end != '\0' || n < min || n > max)
         return std::nullopt;
     return static_cast<T>(n);
+}
+
+/**
+ * Parse @p text as a finite real number in [@p min, @p max]. The text
+ * must be entirely consumed by strtod's syntax with no leading
+ * whitespace; infinities, NaNs, values that overflow or underflow a
+ * double and values outside the range all return nullopt.
+ */
+inline std::optional<double>
+parseReal(const char *text, double min, double max)
+{
+    if (std::isspace(static_cast<unsigned char>(*text)))
+        return std::nullopt;
+    errno = 0;
+    char *end = nullptr;
+    double x = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno == ERANGE ||
+        !std::isfinite(x) || x < min || x > max)
+        return std::nullopt;
+    return x;
 }
 
 } // namespace flexi

@@ -1,5 +1,6 @@
 #include "checkpoint.hh"
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 
@@ -133,7 +134,6 @@ encodeConfig(Writer &w, const FleetConfig &c)
     w.u32(c.maxRepages);
     w.u64(c.maxInstructions);
     w.u32(c.threads);
-    w.u32(c.batchLanes);
     w.f64(c.vdd);
     w.u32(c.minKernels);
 }
@@ -169,9 +169,19 @@ decodeConfig(Reader &r)
     c.maxRepages = r.u32();
     c.maxInstructions = r.u64();
     c.threads = r.u32();
-    c.batchLanes = r.u32();
     c.vdd = r.f64();
     c.minKernels = r.u32();
+    // Same bounds as the command line: a checkpoint is outside input.
+    auto inRange = [](double x, double lo, double hi) {
+        return std::isfinite(x) && x >= lo && x <= hi;
+    };
+    if (!inRange(c.transientsPerEpoch, 0, kMaxFaultsPerEpoch) ||
+        !inRange(c.flipsPerEpoch, 0, kMaxFaultsPerEpoch))
+        fatal("fleet checkpoint: fault rates %g/%g outside 0..%g",
+              c.transientsPerEpoch, c.flipsPerEpoch,
+              kMaxFaultsPerEpoch);
+    if (!std::isfinite(c.vdd) || c.vdd <= 0)
+        fatal("fleet checkpoint: bad supply voltage %g", c.vdd);
     return c;
 }
 

@@ -11,7 +11,9 @@
  *
  *   offset  size  field
  *   0       4     magic "FLFT"
- *   4       4     format version (kFleetCheckpointVersion)
+ *   4       4     format version (kFleetCheckpointVersion; 2 dropped
+ *                 version 1's prescreen-width field, so a version-1
+ *                 file fails closed)
  *   8       ...   campaign configuration (fixed field order)
  *   ...     ...   epochsDone, deaths, per-die records, epoch and
  *                 bin outcome histograms
@@ -21,8 +23,9 @@
  * Resume invariants:
  *  - loadFleetCheckpoint() fails closed (FatalError) on a short
  *    file, bad magic, unknown version, trailing garbage, any
- *    truncated record, out-of-range enum value, or CRC mismatch —
- *    a corrupt checkpoint can never silently yield a fresh state.
+ *    truncated record, out-of-range enum value, fault rate or
+ *    supply voltage, or CRC mismatch — a corrupt checkpoint can
+ *    never silently yield a fresh state.
  *  - The configuration is authoritative: resume rebuilds the
  *    engine (wafer + salvage studies, population pool) from the
  *    stored config, so only the path needs to be remembered.
@@ -46,7 +49,7 @@
 namespace flexi
 {
 
-constexpr uint32_t kFleetCheckpointVersion = 1;
+constexpr uint32_t kFleetCheckpointVersion = 2;
 
 /** CRC-32 (IEEE, poly 0xEDB88320), @p crc seeded with 0. */
 uint32_t crc32(uint32_t crc, const uint8_t *bytes, size_t n);

@@ -1,7 +1,5 @@
 #include "fleet.hh"
 
-#include <algorithm>
-
 #include "assembler/assembler.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -71,9 +69,9 @@ fleetGolden(IsaKind isa)
 bool
 configsMatch(const FleetConfig &a, const FleetConfig &b)
 {
-    // threads and batchLanes are execution knobs, not semantics —
-    // the determinism contract makes results identical across them,
-    // so a resumed campaign may change either.
+    // threads is an execution knob, not semantics — the determinism
+    // contract makes results identical across it, so a resumed
+    // campaign may change it.
     return a.isa == b.isa && a.seed == b.seed &&
            a.numDies == b.numDies && a.epochs == b.epochs &&
            a.kernel == b.kernel && a.fc8Program == b.fc8Program &&
@@ -156,6 +154,8 @@ struct FleetEngine::Impl
     FaultSchedule makeSchedule(uint32_t die, uint32_t epoch,
                                uint64_t horizon,
                                double glitchRate) const;
+    /** Run one mission of every live die and merge the results. */
+    void runEpoch(FleetState &state, uint32_t epoch) const;
 };
 
 std::vector<uint8_t>
@@ -300,6 +300,80 @@ FleetEngine::init() const
 }
 
 void
+FleetEngine::Impl::runEpoch(FleetState &state, uint32_t epoch) const
+{
+    CheckedRunConfig runCfg;
+    runCfg.isa = cfg.isa;
+    runCfg.detectors = cfg.detectors;
+    runCfg.recovery = cfg.recovery;
+    runCfg.targetOutputs = targetOutputs;
+    runCfg.maxInstructions = cfg.maxInstructions;
+
+    std::vector<uint8_t> inputs = epochInputs(epoch);
+
+    // Fault-free golden mission: the horizon the per-die fault
+    // arrivals are drawn over.
+    std::unique_ptr<Netlist> ref = golden->clone();
+    CheckedRunConfig baseCfg = runCfg;
+    baseCfg.detectors = DetectorConfig{false, false, false, 192};
+    baseCfg.recovery.enabled = false;
+    CheckedRunResult base = runChecked(*ref, *prog, inputs, baseCfg);
+    if (base.outcome != CheckedOutcome::Completed || !base.outputsCorrect)
+        panic("fleet: golden mission failed at epoch %u", epoch);
+    uint64_t horizon = 2 * base.cycles + 64;
+
+    std::vector<uint32_t> live;
+    live.reserve(state.dies.size());
+    for (uint32_t d = 0; d < state.dies.size(); ++d)
+        if (state.dies[d].alive)
+            live.push_back(d);
+
+    // One lane per live die: its part's manufacturing defects plus
+    // this epoch's in-field schedule.
+    std::vector<FaultSchedule> scheds(live.size());
+    std::vector<const std::vector<StuckFault> *> faults(live.size());
+    parallelFor(live.size(), cfg.threads, [&](size_t l) {
+        uint32_t pi = state.dies[live[l]].poolIndex;
+        scheds[l] = makeSchedule(live[l], epoch, horizon, glitchRates[pi]);
+        faults[l] = &report.study.dies[pi].faults;
+    });
+    std::vector<CheckedRunResult> runs = runCheckedLanes(
+        *golden, *prog, inputs, runCfg, scheds, faults, cfg.threads);
+
+    // Merge in die order — single-threaded, so histograms, digests
+    // and the escalation ladder are thread-invariant.
+    for (size_t l = 0; l < live.size(); ++l) {
+        const CheckedRunResult &run = runs[l];
+        auto outcome =
+            static_cast<size_t>(classifyCheckedRun(run, cfg.detectors));
+        FleetDie &die = state.dies[live[l]];
+        ++die.epochsRun;
+        ++die.outcomes[outcome];
+        die.lifeCycles += run.cycles;
+        ++state.epochOutcomes[epoch][outcome];
+        size_t binIdx = die.bin == DieBin::Functional ? 0 : 1;
+        ++state.binOutcomes[binIdx][outcome];
+
+        uint64_t h = die.epochsRun == 1 ? kFnvOffset : die.digest;
+        h = fnvU64(h, epoch);
+        h = fnvU64(h, outcome);
+        h = fnvU64(h, run.cycles);
+        h = fnv1a(h, run.endDff.data(), run.endDff.size());
+        die.digest = h;
+        die.dffCount = static_cast<uint32_t>(run.endDff.size());
+        die.dffBits = packBits(run.endDff);
+
+        // Fleet-level escalation: a Degraded mission burns one
+        // firmware re-page; past the budget the die fail-stops.
+        if (run.outcome == CheckedOutcome::Degraded &&
+            ++die.repages > cfg.maxRepages) {
+            die.alive = false;
+            ++state.deaths;
+        }
+    }
+}
+
+void
 FleetEngine::run(FleetState &state, uint32_t stopAfter,
                  const std::string &checkpointPath) const
 {
@@ -315,137 +389,10 @@ FleetEngine::run(FleetState &state, uint32_t stopAfter,
     if (stopAfter && stopAfter < last)
         last = stopAfter;
 
-    unsigned lanesMax = std::max(1u, std::min(im.cfg.batchLanes,
-                                              LaneGroup::kMaxLanes));
-
-    CheckedRunConfig runCfg;
-    runCfg.isa = im.cfg.isa;
-    runCfg.detectors = im.cfg.detectors;
-    runCfg.recovery = im.cfg.recovery;
-    runCfg.targetOutputs = im.targetOutputs;
-    runCfg.maxInstructions = im.cfg.maxInstructions;
-
     for (uint32_t epoch = state.epochsDone; epoch < last; ++epoch) {
-        std::vector<uint8_t> inputs = im.epochInputs(epoch);
-
-        // Fault-free golden mission: the horizon the per-die fault
-        // arrivals are drawn over, and the clean-lane cycle count.
-        std::unique_ptr<Netlist> ref = im.golden->clone();
-        CheckedRunConfig baseCfg = runCfg;
-        baseCfg.detectors = DetectorConfig{false, false, false, 192};
-        baseCfg.recovery.enabled = false;
-        CheckedRunResult base =
-            runChecked(*ref, *im.prog, inputs, baseCfg);
-        if (base.outcome != CheckedOutcome::Completed ||
-            !base.outputsCorrect)
-            panic("fleet: golden mission failed at epoch %u", epoch);
-        uint64_t horizon = 2 * base.cycles + 64;
-
-        std::vector<uint32_t> live;
-        live.reserve(state.dies.size());
-        for (uint32_t d = 0; d < state.dies.size(); ++d)
-            if (state.dies[d].alive)
-                live.push_back(d);
-
-        // Per-die mission results, written only by the owning lane.
-        std::vector<uint8_t> outcome(state.dies.size(), 0);
-        std::vector<uint8_t> degraded(state.dies.size(), 0);
-        std::vector<uint64_t> cycles(state.dies.size(), 0);
-        std::vector<std::vector<uint8_t>> endDff(state.dies.size());
-        std::vector<uint32_t> dirty;
-
-        if (lanesMax >= 2) {
-            // Phase 1: word-parallel prescreen, one LaneGroup block
-            // at a time, each lane carrying its part's manufacturing
-            // defects plus its in-field schedule.
-            size_t blocks = (live.size() + lanesMax - 1) / lanesMax;
-            std::vector<std::vector<uint32_t>> blockDirty(blocks);
-            parallelFor(blocks, im.cfg.threads, [&](size_t b) {
-                size_t begin = b * lanesMax;
-                unsigned lanes = static_cast<unsigned>(
-                    std::min<size_t>(lanesMax,
-                                     live.size() - begin));
-                std::vector<FaultSchedule> scheds(lanes);
-                std::vector<const FaultSchedule *> schedPtrs(lanes);
-                std::vector<const std::vector<StuckFault> *>
-                    faults(lanes);
-                for (unsigned l = 0; l < lanes; ++l) {
-                    uint32_t d = live[begin + l];
-                    uint32_t pi = state.dies[d].poolIndex;
-                    scheds[l] = im.makeSchedule(
-                        d, epoch, horizon, im.glitchRates[pi]);
-                    schedPtrs[l] = &scheds[l];
-                    faults[l] = &im.report.study.dies[pi].faults;
-                }
-                PrescreenResult pres = prescreenSchedules(
-                    *im.golden, *im.prog, inputs, runCfg, schedPtrs,
-                    &faults, true);
-                for (unsigned l = 0; l < lanes; ++l) {
-                    uint32_t d = live[begin + l];
-                    if (pres.completed && pres.clean(l)) {
-                        outcome[d] = static_cast<uint8_t>(
-                            FaultOutcome::Masked);
-                        cycles[d] = pres.cycles;
-                        endDff[d] = std::move(pres.endDff[l]);
-                    } else {
-                        blockDirty[b].push_back(d);
-                    }
-                }
-            });
-            for (const auto &bd : blockDirty)
-                dirty.insert(dirty.end(), bd.begin(), bd.end());
-        } else {
-            dirty = live;
-        }
-
-        // Phase 2: authoritative scalar checked runs for every lane
-        // the prescreen could not prove clean.
-        parallelFor(dirty.size(), im.cfg.threads, [&](size_t k) {
-            uint32_t d = dirty[k];
-            uint32_t pi = state.dies[d].poolIndex;
-            std::unique_ptr<Netlist> die = im.golden->clone();
-            for (const StuckFault &f :
-                 im.report.study.dies[pi].faults)
-                die->injectFault(f);
-            FaultSchedule sched = im.makeSchedule(
-                d, epoch, horizon, im.glitchRates[pi]);
-            CheckedRunResult run = runChecked(*die, *im.prog, inputs,
-                                              runCfg, sched);
-            outcome[d] = static_cast<uint8_t>(
-                classifyCheckedRun(run, im.cfg.detectors));
-            degraded[d] = run.outcome == CheckedOutcome::Degraded;
-            cycles[d] = run.cycles;
-            endDff[d] = std::move(run.endDff);
-        });
-
-        // Merge in die order — single-threaded, so histograms,
-        // digests and the escalation ladder are thread-invariant.
-        for (uint32_t d : live) {
-            FleetDie &die = state.dies[d];
-            ++die.epochsRun;
-            ++die.outcomes[outcome[d]];
-            die.lifeCycles += cycles[d];
-            ++state.epochOutcomes[epoch][outcome[d]];
-            size_t binIdx = die.bin == DieBin::Functional ? 0 : 1;
-            ++state.binOutcomes[binIdx][outcome[d]];
-
-            uint64_t h = die.epochsRun == 1 ? kFnvOffset : die.digest;
-            h = fnvU64(h, epoch);
-            h = fnvU64(h, outcome[d]);
-            h = fnvU64(h, cycles[d]);
-            h = fnv1a(h, endDff[d].data(), endDff[d].size());
-            die.digest = h;
-            die.dffCount = static_cast<uint32_t>(endDff[d].size());
-            die.dffBits = packBits(endDff[d]);
-
-            // Fleet-level escalation: a Degraded mission burns one
-            // firmware re-page; past the budget the die fail-stops.
-            if (degraded[d] && ++die.repages > im.cfg.maxRepages) {
-                die.alive = false;
-                ++state.deaths;
-            }
-        }
-
+        // runEpoch's per-lane results are freed before the checkpoint
+        // is encoded, so the two never peak together.
+        im.runEpoch(state, epoch);
         state.epochsDone = epoch + 1;
         if (!checkpointPath.empty())
             saveFleetCheckpoint(state, checkpointPath);

@@ -25,15 +25,15 @@
  *       → fail-stop (budget exhausted: the die is pulled from the
  *         fleet and every later epoch counts it unavailable).
  *
- * Throughput comes from the 512-lane compiled backend: every epoch,
- * live dies are packed into LaneGroup words — each lane carrying its
- * own manufacturing defects and in-field schedule — and the word-
- * parallel prescreen proves most lanes fault-free; only dirty lanes
- * re-run through the scalar authoritative runChecked(). Results are
- * bit-identical for any thread count and any batchLanes, and the
- * whole campaign checkpoints to a versioned, checksummed file after
- * every epoch, so a killed run resumed from its checkpoint is
- * bit-identical to an uninterrupted one (see checkpoint.hh).
+ * Every epoch runs the live dies through runCheckedLanes(), each
+ * lane carrying its part's manufacturing defects and in-field
+ * schedule: the word-parallel prescreen proves most missions
+ * fault-free and only dirty lanes re-run through the authoritative
+ * scalar runChecked(). Results are bit-identical for any thread
+ * count, and the whole campaign checkpoints to a versioned,
+ * checksummed file after every epoch, so a killed run resumed from
+ * its checkpoint is bit-identical to an uninterrupted one (see
+ * checkpoint.hh).
  */
 
 #ifndef FLEXI_FLEET_FLEET_HH
@@ -51,6 +51,13 @@
 
 namespace flexi
 {
+
+/**
+ * Largest mean transient or flip count per mission the fleet accepts
+ * (FleetConfig::transientsPerEpoch / flipsPerEpoch, from the command
+ * line or a checkpoint): Rng::poisson's cost grows with the mean.
+ */
+constexpr double kMaxFaultsPerEpoch = 64;
 
 /** Configuration of one fleet lifecycle campaign. */
 struct FleetConfig
@@ -87,9 +94,6 @@ struct FleetConfig
     uint64_t maxInstructions = 60000;
     /** 0 = auto; results are bit-identical for any value. */
     unsigned threads = 0;
-    /** Lanes per prescreen word-pack (1 forces all-scalar; results
-     *  are bit-identical for any value). */
-    unsigned batchLanes = 512;
     /** Salvage deployment: binning voltage and qualification bar. */
     double vdd = 4.5;
     unsigned minKernels = 1;

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <span>
 
 #include "common/logging.hh"
+#include "common/thread_pool.hh"
 #include "isa/encoding.hh"
 #include "netlist/lane_group.hh"
 #include "sim/core_sim.hh"
@@ -452,25 +454,20 @@ class CheckedRunner
     CheckedRunResult res_;
 };
 
-} // namespace
-
-CheckedRunResult
-runChecked(Netlist &die, const Program &prog,
-           const std::vector<uint8_t> &inputs,
-           const CheckedRunConfig &cfg, const FaultSchedule &schedule)
-{
-    CheckedRunner runner(die, prog, inputs, cfg, schedule);
-    return runner.run();
-}
-
-PrescreenResult
+/**
+ * Prescreen one group of at most LaneGroup::kMaxLanes lanes (see
+ * runCheckedLanes()): set @p clean[L] and fill @p out[L] for every
+ * lane L proven clean, leave every other lane's slots untouched.
+ */
+void
 prescreenSchedules(const Netlist &golden_netlist, const Program &prog,
                    const std::vector<uint8_t> &inputs,
                    const CheckedRunConfig &cfg,
-                   const std::vector<const FaultSchedule *> &schedules,
-                   const std::vector<const std::vector<StuckFault> *>
-                       *laneFaults,
-                   bool captureEndState)
+                   std::span<const FaultSchedule> schedules,
+                   std::span<const std::vector<StuckFault> *const>
+                       laneFaults,
+                   std::span<CheckedRunResult> out,
+                   std::span<uint8_t> clean)
 {
     // One bit-parallel mirror of CheckedRunner::stepInstruction()
     // with all protection stripped: flips before each fetch, per-lane
@@ -480,8 +477,6 @@ prescreenSchedules(const Netlist &golden_netlist, const Program &prog,
     // so the shared state below (held input, MMU page) only ever has
     // to be correct for lanes that are still tracking golden exactly.
     unsigned lanes = static_cast<unsigned>(schedules.size());
-    if (lanes == 0 || lanes > LaneGroup::kMaxLanes)
-        fatal("prescreenSchedules: bad lane count %u", lanes);
     LaneGroup batch(golden_netlist, lanes);
 
     bool wide = cfg.isa == IsaKind::ExtAcc4 ||
@@ -509,19 +504,15 @@ prescreenSchedules(const Netlist &golden_netlist, const Program &prog,
                              ? cfg.maxCycles
                              : cfg.maxInstructions * 8 + 1024;
 
-    if (laneFaults && laneFaults->size() != schedules.size())
-        fatal("prescreenSchedules: %zu fault lists for %zu lanes",
-              laneFaults->size(), schedules.size());
-
     size_t numDffs = batch.numDffs();
     std::vector<std::vector<FaultSchedule::DffFlip>> flips(lanes);
     for (unsigned lane = 0; lane < lanes; ++lane) {
-        if (laneFaults && (*laneFaults)[lane])
-            for (const StuckFault &f : *(*laneFaults)[lane])
+        if (!laneFaults.empty() && laneFaults[lane])
+            for (const StuckFault &f : *laneFaults[lane])
                 batch.injectFault(lane, f);
-        for (const auto &t : schedules[lane]->transients)
+        for (const auto &t : schedules[lane].transients)
             batch.injectTransient(lane, t);
-        flips[lane] = schedules[lane]->flips;
+        flips[lane] = schedules[lane].flips;
         std::sort(flips[lane].begin(), flips[lane].end(),
                   [](const FaultSchedule::DffFlip &a,
                      const FaultSchedule::DffFlip &b) {
@@ -560,7 +551,7 @@ prescreenSchedules(const Netlist &golden_netlist, const Program &prog,
     // post-clock evaluate narrows to their fan-in cones.
     LaneGroup::PadCone padCone = batch.padCone({&pcBus, &oportBus});
 
-    PrescreenResult res;
+    uint64_t cycles = 0;
     uint64_t instructions = 0;
 
     auto isDone = [&]() {
@@ -570,16 +561,11 @@ prescreenSchedules(const Netlist &golden_netlist, const Program &prog,
                env.outputs.size() >= cfg.targetOutputs;
     };
 
-    while (true) {
-        if (isDone()) {
-            res.completed = true;
-            break;
-        }
+    while (!isDone()) {
+        // A lane can only be clean if golden completes in budget.
         if (instructions >= cfg.maxInstructions ||
-            res.cycles >= maxCycles)
-            break;
-        if (!anyActive())
-            break;
+            cycles >= maxCycles || !anyActive())
+            return;
 
         const std::vector<uint8_t> &gimage =
             prog.page(golden.page());
@@ -605,8 +591,8 @@ prescreenSchedules(const Netlist &golden_netlist, const Program &prog,
             fetchTablePage = mirrorPage;
         }
 
-        unsigned cycles = wide ? 1 : dec.bytes;
-        for (unsigned c = 0; c < cycles; ++c) {
+        unsigned instrCycles = wide ? 1 : dec.bytes;
+        for (unsigned c = 0; c < instrCycles; ++c) {
             for (unsigned lane = 0; lane < lanes; ++lane) {
                 while (flipIdx[lane] < flips[lane].size() &&
                        flips[lane][flipIdx[lane]].cycle <=
@@ -636,7 +622,7 @@ prescreenSchedules(const Netlist &golden_netlist, const Program &prog,
             batch.evaluate();
             batch.clockEdge();
             batch.exposeState(padCone);   // new state on the pads
-            ++res.cycles;
+            ++cycles;
 
             // Frozen-PC tracking is only consumed by the watchdog
             // retire below; with no watchdog armed the per-lane PC
@@ -691,15 +677,72 @@ prescreenSchedules(const Netlist &golden_netlist, const Program &prog,
             active[w] &= ~(pcDiff[w] | opDiff[w]);
     }
 
-    if (res.completed) {
-        res.cleanMask = active;
-        if (captureEndState) {
-            res.endDff.resize(lanes);
-            for (unsigned lane = 0; lane < lanes; ++lane)
-                res.endDff[lane] = batch.saveDffState(lane);
-        }
+    for (unsigned lane = 0; lane < lanes; ++lane) {
+        if (!((active[lane / 64] >> (lane % 64)) & 1u))
+            continue;
+        CheckedRunResult &r = out[lane];
+        r.outputsCorrect = true;
+        r.cycles = cycles;
+        r.instructions = instructions;
+        r.endDff = batch.saveDffState(lane);
+        clean[lane] = 1;
     }
-    return res;
+}
+
+} // namespace
+
+CheckedRunResult
+runChecked(Netlist &die, const Program &prog,
+           const std::vector<uint8_t> &inputs,
+           const CheckedRunConfig &cfg, const FaultSchedule &schedule)
+{
+    CheckedRunner runner(die, prog, inputs, cfg, schedule);
+    return runner.run();
+}
+
+std::vector<CheckedRunResult>
+runCheckedLanes(const Netlist &golden, const Program &prog,
+                const std::vector<uint8_t> &inputs,
+                const CheckedRunConfig &cfg,
+                const std::vector<FaultSchedule> &schedules,
+                const std::vector<const std::vector<StuckFault> *>
+                    &laneFaults,
+                unsigned threads)
+{
+    size_t n = schedules.size();
+    if (!laneFaults.empty() && laneFaults.size() != n)
+        fatal("runCheckedLanes: %zu fault lists for %zu lanes",
+              laneFaults.size(), n);
+    std::vector<CheckedRunResult> results(n);
+    std::vector<uint8_t> clean(n, 0);
+
+    constexpr size_t kLanes = LaneGroup::kMaxLanes;
+    parallelFor((n + kLanes - 1) / kLanes, threads, [&](size_t g) {
+        size_t begin = g * kLanes;
+        size_t lanes = std::min(kLanes, n - begin);
+        std::span<const std::vector<StuckFault> *const> faults;
+        if (!laneFaults.empty())
+            faults = std::span(laneFaults).subspan(begin, lanes);
+        prescreenSchedules(golden, prog, inputs, cfg,
+                           std::span(schedules).subspan(begin, lanes),
+                           faults,
+                           std::span(results).subspan(begin, lanes),
+                           std::span(clean).subspan(begin, lanes));
+    });
+
+    std::vector<size_t> dirty;
+    for (size_t i = 0; i < n; ++i)
+        if (!clean[i])
+            dirty.push_back(i);
+    parallelFor(dirty.size(), threads, [&](size_t k) {
+        size_t i = dirty[k];
+        std::unique_ptr<Netlist> die = golden.clone();
+        if (!laneFaults.empty() && laneFaults[i])
+            for (const StuckFault &f : *laneFaults[i])
+                die->injectFault(f);
+        results[i] = runChecked(*die, prog, inputs, cfg, schedules[i]);
+    });
+    return results;
 }
 
 } // namespace flexi

@@ -29,13 +29,11 @@
 #ifndef FLEXI_RESILIENCE_CHECKED_RUN_HH
 #define FLEXI_RESILIENCE_CHECKED_RUN_HH
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "assembler/program.hh"
-#include "netlist/lane_group.hh"
 #include "netlist/netlist.hh"
 
 namespace flexi
@@ -157,74 +155,46 @@ CheckedRunResult runChecked(Netlist &die, const Program &prog,
                             const CheckedRunConfig &cfg,
                             const FaultSchedule &schedule = {});
 
-/** Result of a batched lockstep prescreen of fault schedules. */
-struct PrescreenResult
-{
-    /**
-     * Lanes proven clean: the die's PC/OPORT pads matched golden at
-     * every instruction boundary, the PC never froze past an armed
-     * watchdog, and the run completed within budget. A clean lane's
-     * full runChecked() result is known without running it: outcome
-     * Completed, outputs correct, zero detections/retries/restarts,
-     * and cycles equal to the prescreen's cycle count. Bit L of word
-     * w covers lane w*64 + L; query with clean().
-     */
-    std::array<uint64_t, LaneGroup::kMaxWords> cleanMask{};
-
-    bool
-    clean(unsigned lane) const
-    {
-        return (cleanMask[lane / 64] >> (lane % 64)) & 1ull;
-    }
-    /** Die cycles driven (the clean lanes' runChecked cycles). */
-    uint64_t cycles = 0;
-    /** Golden run reached done() within the instruction/cycle
-     *  budgets (false means every lane must be re-run). */
-    bool completed = false;
-    /**
-     * Per-lane end-of-run DFF state in saveDffState() layout, only
-     * filled when the prescreen was asked to capture end state and
-     * completed. Meaningful for clean lanes (bit-identical to the
-     * scalar runChecked endDff); dirty lanes' entries are whatever
-     * the unprotected pass left behind and must not be consumed.
-     */
-    std::vector<std::vector<uint8_t>> endDff;
-};
-
 /**
- * Drive up to LaneGroup::kMaxLanes (512) fault schedules through one
- * shared unprotected lockstep pass of @p prog on a LaneGroup of
- * @p golden's structure (the wide-lane compiled backend), and prove
- * which lanes a scalar runChecked() under @p cfg would
- * classify as fault-free behaviour (no divergence from golden, no
- * detector able to fire). Lanes NOT in cleanMask have diverged — or
- * could not be proven clean — and must be re-run through the scalar
- * runChecked() for their exact outcome; lanes in cleanMask need not.
+ * Run one checked mission per lane: lane L runs @p prog on a clone of
+ * @p golden carrying the stuck-at faults @p laneFaults[L] (null
+ * entries, or an empty @p laneFaults, mean a pristine die) under
+ * @p schedules[L], and the result is what runChecked() returns for
+ * that die.
+ *
+ * Lanes are packed in index order into LaneGroups of
+ * LaneGroup::kMaxLanes (the wide-lane compiled backend) and driven
+ * through one shared unprotected lockstep pass per group against one
+ * golden trajectory. A lane whose PC/OPORT pads matched golden at
+ * every instruction boundary, whose PC never froze past an armed
+ * watchdog, and whose group completed within budget is *clean*; every
+ * other lane re-runs through the scalar runChecked(), whose result is
+ * authoritative. Group membership depends only on the lane index, so
+ * @p threads cannot change any result.
  *
  * The prescreen is sound for any DetectorConfig/RecoveryPolicy in
- * @p cfg because detectors and recovery only alter a run's
- * trajectory after a detection, and a clean lane can never trigger
- * one: the lockstep and final output compares see no mismatch, the
- * output CRC streams are identical at every checkpoint, and lanes
- * whose PC freezes past an armed watchdog are retired to the scalar
- * path.
+ * @p cfg because detectors and recovery only alter a run's trajectory
+ * after a detection, and a clean lane can never trigger one: the
+ * lockstep and final output compares see no mismatch, the output CRC
+ * streams are identical at every checkpoint, and lanes whose PC
+ * freezes past an armed watchdog are retired to the scalar path.
+ * Stuck-at defects ride in the same word: a lane is clean only if its
+ * pads tracked golden at every boundary, defects and all.
  *
- * @p laneFaults optionally installs per-lane stuck-at faults (null
- * entries allowed) before the pass — the fleet engine packs salvaged
- * dies, whose manufacturing defects ride alongside the in-field
- * schedule, into the same word. The soundness argument is unchanged:
- * a lane is clean only if its pads tracked golden at every boundary,
- * defects and all. @p captureEndState additionally snapshots every
- * lane's end-of-run DFF state into PrescreenResult::endDff.
+ * A clean lane's result is exact in outcome (Completed),
+ * outputsCorrect (true), cycles, instructions, padMismatches (0),
+ * detections/retries/restarts (0), firstDetector (empty) and endDff.
+ * It leaves maxPcFrozenCycles at 0 and dieOutputs/goldenOutputs
+ * empty; callers that need those must run the scalar runChecked().
  */
-PrescreenResult
-prescreenSchedules(const Netlist &golden, const Program &prog,
-                   const std::vector<uint8_t> &inputs,
-                   const CheckedRunConfig &cfg,
-                   const std::vector<const FaultSchedule *> &schedules,
-                   const std::vector<const std::vector<StuckFault> *>
-                       *laneFaults = nullptr,
-                   bool captureEndState = false);
+std::vector<CheckedRunResult>
+runCheckedLanes(const Netlist &golden, const Program &prog,
+                const std::vector<uint8_t> &inputs,
+                const CheckedRunConfig &cfg,
+                const std::vector<FaultSchedule> &schedules,
+                const std::vector<const std::vector<StuckFault> *>
+                    &laneFaults,
+                unsigned threads);
 
 /** Incremental CRC-8 (poly 0x07) used by the output detector. */
 uint8_t crc8(uint8_t crc, uint8_t byte);

@@ -1,7 +1,7 @@
 #include "fault_campaign.hh"
 
-#include <algorithm>
 #include <memory>
+#include <tuple>
 
 #include "assembler/assembler.hh"
 #include "common/logging.hh"
@@ -10,7 +10,6 @@
 #include "kernels/fc8_programs.hh"
 #include "kernels/inputs.hh"
 #include "netlist/flexicore_netlist.hh"
-#include "netlist/lane_group.hh"
 
 namespace flexi
 {
@@ -207,75 +206,28 @@ runFaultCampaign(const CampaignConfig &config)
             base.outputsCorrect;
     }
 
-    result.injections.resize(config.injections);
-
     // Every schedule is a pure function of (seed, index, netlist,
-    // baseline) — generate them all up front so the bit-parallel
-    // prescreen can bind them to lanes.
-    std::vector<std::pair<FaultKind, FaultSchedule>> sched(
-        config.injections);
+    // baseline), so they are all generated up front and handed to
+    // the checked-lanes runner: most injections are masked — the
+    // upset lands in logic the workload never exercises — and the
+    // runner's word-parallel prescreen settles those without a
+    // scalar run.
+    std::vector<FaultKind> kinds(config.injections);
+    std::vector<FaultSchedule> sched(config.injections);
     parallelFor(config.injections, config.threads, [&](size_t i) {
-        sched[i] = makeSchedule(config, *golden,
-                                result.baselineCycles,
-                                static_cast<unsigned>(i));
+        std::tie(kinds[i], sched[i]) =
+            makeSchedule(config, *golden, result.baselineCycles,
+                         static_cast<unsigned>(i));
     });
+    std::vector<CheckedRunResult> runs =
+        runCheckedLanes(*golden, work.prog, work.inputs, runCfg, sched,
+                        {}, config.threads);
 
-    // Phase 1: wide-lane lockstep prescreen. Most injections are
-    // masked — the upset lands in logic the workload never exercises
-    // — and a masked run is exactly one unprotected golden-tracking
-    // pass, so one word-parallel pass settles up to 512 of them at
-    // once. Lanes the prescreen cannot prove clean fall through to
-    // the scalar checked runtime, whose results are authoritative;
-    // batch membership is a pure function of injection index, so
-    // thread count and lane width cannot change any outcome.
-    unsigned lanes = std::min<unsigned>(
-        config.batchLanes ? config.batchLanes : 1,
-        LaneGroup::kMaxLanes);
-    std::vector<uint8_t> screened(config.injections, 0);
-    if (lanes > 1) {
-        size_t num_batches = (config.injections + lanes - 1) / lanes;
-        parallelFor(num_batches, config.threads, [&](size_t b) {
-            size_t begin = b * lanes;
-            unsigned n = static_cast<unsigned>(std::min<size_t>(
-                lanes, config.injections - begin));
-            std::vector<const FaultSchedule *> group(n);
-            for (unsigned lane = 0; lane < n; ++lane)
-                group[lane] = &sched[begin + lane].second;
-            PrescreenResult ps = prescreenSchedules(
-                *golden, work.prog, work.inputs, runCfg, group);
-            for (unsigned lane = 0; lane < n; ++lane) {
-                if (!ps.clean(lane))
-                    continue;
-                size_t i = begin + lane;
-                InjectionResult &inj = result.injections[i];
-                inj.kind = sched[i].first;
-                inj.outcome = FaultOutcome::Masked;
-                inj.runOutcome = CheckedOutcome::Completed;
-                inj.outputsCorrect = true;
-                inj.detections = 0;
-                inj.retries = 0;
-                inj.restarts = 0;
-                inj.cycles = ps.cycles;
-                inj.firstDetector.clear();
-                screened[i] = 1;
-            }
-        });
-    }
-
-    // Phase 2: scalar checked runs for everything else.
-    std::vector<size_t> pending;
-    for (size_t i = 0; i < screened.size(); ++i)
-        if (!screened[i])
-            pending.push_back(i);
-    parallelFor(pending.size(), config.threads, [&](size_t k) {
-        size_t i = pending[k];
-        std::unique_ptr<Netlist> die = golden->clone();
-        CheckedRunResult run = runChecked(*die, work.prog,
-                                          work.inputs, runCfg,
-                                          sched[i].second);
-
+    result.injections.resize(config.injections);
+    for (size_t i = 0; i < runs.size(); ++i) {
+        const CheckedRunResult &run = runs[i];
         InjectionResult &inj = result.injections[i];
-        inj.kind = sched[i].first;
+        inj.kind = kinds[i];
         inj.outcome = classifyCheckedRun(run, config.detectors);
         inj.runOutcome = run.outcome;
         inj.outputsCorrect = run.outputsCorrect;
@@ -284,7 +236,7 @@ runFaultCampaign(const CampaignConfig &config)
         inj.restarts = run.restarts;
         inj.cycles = run.cycles;
         inj.firstDetector = run.firstDetector;
-    });
+    }
     return result;
 }
 

@@ -124,16 +124,6 @@ struct CampaignConfig
     /** 0 = auto, 1 = serial (bit-identical either way). */
     unsigned threads = 0;
     uint64_t maxInstructions = 60000;
-    /**
-     * Bit-parallel prescreen width: up to batchLanes injection
-     * schedules run together through one unprotected lockstep pass
-     * on the wide-lane compiled backend (up to 512 lanes); lanes
-     * that never diverge from golden are classified Masked directly,
-     * the rest re-run through the scalar checked runtime. 1 forces
-     * the all-scalar path. Outcomes are bit-identical for any value
-     * (the prescreen only skips work it can prove).
-     */
-    unsigned batchLanes = 512;
 };
 
 /** Aggregated classification counts. */

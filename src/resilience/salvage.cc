@@ -143,58 +143,61 @@ runSalvageStudy(const SalvageConfig &config)
     std::vector<SalvageWorkload> suite = makeSuite(config, *golden);
     DieModel model(report.study.spec, config.study.params);
 
+    // Functional dies bin as such; every other die is a lane that
+    // runs each kernel of the suite on its own fault list.
+    std::vector<size_t> failed;
+    std::vector<const std::vector<StuckFault> *> faults;
     report.dies.resize(report.study.dies.size());
-    parallelFor(report.study.dies.size(), config.study.threads,
-                [&](size_t i) {
+    for (size_t i = 0; i < report.study.dies.size(); ++i) {
         const DieResult &die = report.study.dies[i];
         DieSalvage &verdict = report.dies[i];
         verdict.dieIndex = i;
         verdict.kernelsTotal = static_cast<unsigned>(suite.size());
-
         const DieProbe &probe =
             config.vdd > 4.0 ? die.at45V : die.at3V;
         if (probe.functional()) {
             verdict.bin = DieBin::Functional;
-            return;
+        } else {
+            failed.push_back(i);
+            faults.push_back(&die.faults);
         }
+    }
 
-        // Timing-marginal dies glitch at the per-cycle rate the
-        // probe model expects at this supply.
-        double glitchRate = model.glitchRate(die.sample, config.vdd);
-
-        for (size_t k = 0; k < suite.size(); ++k) {
-            const SalvageWorkload &w = suite[k];
-            // The exact faulty die, rebuilt from the probe record; a
-            // fresh clone per kernel restarts the transient clock.
-            std::unique_ptr<Netlist> faulty = golden->clone();
-            for (const StuckFault &f : die.faults)
-                faulty->injectFault(f);
-
-            FaultSchedule sched;
-            if (glitchRate > 0) {
-                Rng rng(deriveSeed(config.study.seed ^ kSalvageSalt,
-                                   die.site.index * kKernelStride +
-                                       k));
-                uint64_t horizon = 2 * w.baselineCycles + 64;
-                for (uint64_t c = 0; c < horizon; ++c) {
-                    if (!rng.chance(glitchRate))
-                        continue;
-                    NetId net = static_cast<NetId>(
-                        rng.below(faulty->numNets()));
-                    sched.transients.push_back(
-                        {net, rng.chance(0.5), c, c + 1});
-                }
+    for (size_t k = 0; k < suite.size(); ++k) {
+        const SalvageWorkload &w = suite[k];
+        // Timing-marginal dies glitch at the per-cycle rate the probe
+        // model expects at this supply.
+        std::vector<FaultSchedule> scheds(failed.size());
+        parallelFor(failed.size(), config.study.threads, [&](size_t l) {
+            const DieResult &die = report.study.dies[failed[l]];
+            double glitchRate = model.glitchRate(die.sample, config.vdd);
+            if (glitchRate <= 0)
+                return;
+            Rng rng(deriveSeed(config.study.seed ^ kSalvageSalt,
+                               die.site.index * kKernelStride + k));
+            uint64_t horizon = 2 * w.baselineCycles + 64;
+            for (uint64_t c = 0; c < horizon; ++c) {
+                if (!rng.chance(glitchRate))
+                    continue;
+                NetId net = static_cast<NetId>(
+                    rng.below(golden->numNets()));
+                scheds[l].transients.push_back(
+                    {net, rng.chance(0.5), c, c + 1});
             }
+        });
 
-            CheckedRunConfig runCfg;
-            runCfg.isa = config.study.isa;
-            runCfg.detectors = config.detectors;
-            runCfg.recovery = config.recovery;
-            runCfg.targetOutputs = w.targetOutputs;
-            runCfg.maxInstructions = config.maxInstructions;
-            CheckedRunResult run = runChecked(*faulty, w.prog,
-                                              w.inputs, runCfg,
-                                              sched);
+        CheckedRunConfig runCfg;
+        runCfg.isa = config.study.isa;
+        runCfg.detectors = config.detectors;
+        runCfg.recovery = config.recovery;
+        runCfg.targetOutputs = w.targetOutputs;
+        runCfg.maxInstructions = config.maxInstructions;
+        std::vector<CheckedRunResult> runs =
+            runCheckedLanes(*golden, w.prog, w.inputs, runCfg, scheds,
+                            faults, config.study.threads);
+        for (size_t l = 0; l < failed.size(); ++l) {
+            const CheckedRunResult &run = runs[l];
+            DieSalvage &verdict = report.dies[failed[l]];
             verdict.detections += run.detections;
             verdict.retries += run.retries;
             verdict.restarts += run.restarts;
@@ -204,10 +207,12 @@ runSalvageStudy(const SalvageConfig &config)
                 verdict.passedMask |= 1u << k;
             }
         }
-        verdict.bin = verdict.kernelsPassed >= config.minKernels
-                          ? DieBin::Salvaged
-                          : DieBin::Dead;
-    });
+    }
+    for (size_t i : failed)
+        report.dies[i].bin = report.dies[i].kernelsPassed >=
+                                     config.minKernels
+                                 ? DieBin::Salvaged
+                                 : DieBin::Dead;
     return report;
 }
 

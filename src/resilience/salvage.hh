@@ -15,7 +15,8 @@
  * glitch schedules scaled by their expected error rate, and every
  * kernel of the benchmark suite (the seven Table 6 kernels on
  * FlexiCore4, the four application programs on FlexiCore8) is run to
- * completion under the checked runtime. A die completing at least
+ * completion under the checked runtime — one runCheckedLanes() call
+ * per kernel, one lane per failed die. A die completing at least
  * minKernels of them with correct outputs is binned *Salvaged*, and
  * its passedMask records exactly which application bins the part
  * still qualifies for — classic part binning, graded by capability.

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "common/logging.hh"
@@ -129,7 +130,7 @@ checkInvariants(const FleetState &st)
     }
 }
 
-TEST(Fleet, ThreadCountAndBatchLanesDoNotChangeAnything)
+TEST(Fleet, ThreadCountDoesNotChangeAnything)
 {
     FleetConfig cfg = smallConfig();
     FleetEngine engine(cfg);
@@ -137,12 +138,9 @@ TEST(Fleet, ThreadCountAndBatchLanesDoNotChangeAnything)
     engine.run(ref);
     checkInvariants(ref);
 
-    struct Knobs { unsigned threads, batchLanes; };
-    for (Knobs k : {Knobs{1, 512}, Knobs{3, 512}, Knobs{0, 1},
-                    Knobs{2, 17}, Knobs{1, 63}}) {
+    for (unsigned threads : {1u, 2u, 3u}) {
         FleetConfig c = cfg;
-        c.threads = k.threads;
-        c.batchLanes = k.batchLanes;
+        c.threads = threads;
         FleetEngine eng(c);
         FleetState st = eng.init();
         eng.run(st);
@@ -226,9 +224,8 @@ TEST(Fleet, KillAndResumeIsBitIdentical)
 
     FleetState resumed = decodeFleetState(bytes);
     FleetEngine fresh(resumed.config);
-    // Execution knobs may change across the resume boundary.
+    // The thread count may change across the resume boundary.
     resumed.config.threads = 1;
-    resumed.config.batchLanes = 17;
     fresh.run(resumed);
     expectStateEq(full, resumed);
 }
@@ -265,6 +262,28 @@ TEST(Fleet, CheckpointFailsClosed)
     std::vector<uint8_t> bad = bytes;
     bad.push_back(0);
     EXPECT_THROW(decodeFleetState(bad), FatalError);
+
+    // A CRC-valid image whose fault rates the command line would
+    // reject (non-finite, above the cap) or whose supply voltage is
+    // not a positive finite number fails closed too.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (double rate : {inf, nan, -1.0, kMaxFaultsPerEpoch + 1}) {
+        FleetState t = st;
+        t.config.transientsPerEpoch = rate;
+        EXPECT_THROW(decodeFleetState(encodeFleetState(t)), FatalError)
+            << "transients " << rate;
+        FleetState f = st;
+        f.config.flipsPerEpoch = rate;
+        EXPECT_THROW(decodeFleetState(encodeFleetState(f)), FatalError)
+            << "flips " << rate;
+    }
+    for (double vdd : {inf, nan, 0.0}) {
+        FleetState v = st;
+        v.config.vdd = vdd;
+        EXPECT_THROW(decodeFleetState(encodeFleetState(v)), FatalError)
+            << "vdd " << vdd;
+    }
 
     // An unreadable path fails loudly, never a fresh state.
     EXPECT_THROW(loadFleetCheckpoint("/nonexistent/fleet.ckpt"),
@@ -303,7 +322,6 @@ TEST(Fleet, Fc8FleetRunsAndIsDeterministic)
 
     FleetConfig c2 = cfg;
     c2.threads = 1;
-    c2.batchLanes = 1;
     FleetEngine e2(c2);
     FleetState b = e2.init();
     e2.run(b);

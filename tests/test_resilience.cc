@@ -14,6 +14,7 @@
 
 #include "analysis/atpg.hh"
 #include "assembler/assembler.hh"
+#include "common/rng.hh"
 #include "kernels/fc8_programs.hh"
 #include "kernels/inputs.hh"
 #include "kernels/kernels.hh"
@@ -276,6 +277,109 @@ TEST(CheckedRun, DetectOnlyModeRecordsButDoesNotAct)
     }
 }
 
+TEST(CheckedRun, LanesMatchScalarRunChecked)
+{
+    // The checked-lanes runner against its definition: every lane's
+    // result equals a clone of the golden die carrying the lane's
+    // stuck-ats, run through scalar runChecked() under the lane's
+    // schedule. Lanes mix empty, transient, flip and glitch schedules
+    // with optional stuck-at lists; FlexiCore4's 600 lanes fill a
+    // full 512-lane group and a ragged 88-lane one.
+    for (IsaKind isa : {IsaKind::FlexiCore4, IsaKind::FlexiCore8,
+                        IsaKind::ExtAcc4, IsaKind::LoadStore4}) {
+        CheckedRig rig(isa);
+        ASSERT_TRUE(rig.cfg.detectors.watchdog);
+        auto pristine = rig.golden->clone();
+        uint64_t horizon =
+            runChecked(*pristine, rig.prog, rig.inputs, rig.cfg).cycles;
+        size_t nets = rig.golden->numNets();
+        size_t lanes = isa == IsaKind::FlexiCore4 ? 600 : 80;
+
+        std::vector<FaultSchedule> scheds(lanes);
+        std::vector<std::vector<StuckFault>> stuck(lanes);
+        std::vector<const std::vector<StuckFault> *> faults(lanes);
+        for (size_t l = 0; l < lanes; ++l) {
+            Rng rng(deriveSeed(0x1A9E5, l));
+            FaultSchedule &s = scheds[l];
+            switch (l % 4) {
+              case 0: break;   // empty schedule
+              case 1: {
+                uint64_t at = rng.below(horizon);
+                s.transients.push_back({static_cast<NetId>(
+                    rng.below(nets)), rng.chance(0.5), at, at + 1});
+                break;
+              }
+              case 2:
+                s.flips.push_back({rng.below(horizon),
+                                   rng.below(rig.golden->numDffs())});
+                break;
+              case 3:   // timing glitches
+                for (uint64_t c = 0; c < horizon; ++c)
+                    if (rng.chance(0.01))
+                        s.transients.push_back(
+                            {static_cast<NetId>(rng.below(nets)),
+                             rng.chance(0.5), c, c + 1});
+                break;
+            }
+            if (l % 3 == 0) {
+                const auto &cells = rig.golden->cells();
+                stuck[l].push_back({cells[rng.below(cells.size())]
+                                        .output, rng.chance(0.5)});
+                faults[l] = &stuck[l];
+            }
+        }
+
+        std::vector<CheckedRunResult> serial = runCheckedLanes(
+            *rig.golden, rig.prog, rig.inputs, rig.cfg, scheds, faults, 1);
+        std::vector<CheckedRunResult> threaded = runCheckedLanes(
+            *rig.golden, rig.prog, rig.inputs, rig.cfg, scheds, faults, 4);
+        ASSERT_EQ(serial.size(), lanes);
+        ASSERT_EQ(threaded.size(), lanes);
+
+        unsigned clean = 0, dirty = 0;
+        for (size_t l = 0; l < lanes; ++l) {
+            auto die = rig.golden->clone();
+            for (const StuckFault &f : stuck[l])
+                die->injectFault(f);
+            CheckedRunResult ref = runChecked(*die, rig.prog, rig.inputs,
+                                              rig.cfg, scheds[l]);
+            for (const CheckedRunResult *r : {&serial[l], &threaded[l]}) {
+                EXPECT_EQ(r->outcome, ref.outcome) << isaName(isa) << l;
+                EXPECT_EQ(r->outputsCorrect, ref.outputsCorrect)
+                    << isaName(isa) << l;
+                EXPECT_EQ(r->cycles, ref.cycles) << isaName(isa) << l;
+                EXPECT_EQ(r->instructions, ref.instructions)
+                    << isaName(isa) << l;
+                EXPECT_EQ(r->padMismatches, ref.padMismatches)
+                    << isaName(isa) << l;
+                EXPECT_EQ(r->detections, ref.detections)
+                    << isaName(isa) << l;
+                EXPECT_EQ(r->retries, ref.retries) << isaName(isa) << l;
+                EXPECT_EQ(r->restarts, ref.restarts)
+                    << isaName(isa) << l;
+                EXPECT_EQ(r->firstDetector, ref.firstDetector)
+                    << isaName(isa) << l;
+                EXPECT_EQ(r->endDff, ref.endDff) << isaName(isa) << l;
+            }
+            // A clean lane leaves the output streams empty (documented);
+            // a dirty lane is the scalar result itself.
+            bool laneClean = serial[l].outputsCorrect &&
+                             serial[l].goldenOutputs.empty();
+            EXPECT_EQ(threaded[l].goldenOutputs.empty(), laneClean);
+            if (laneClean) {
+                ++clean;
+                continue;
+            }
+            ++dirty;
+            EXPECT_EQ(serial[l].maxPcFrozenCycles, ref.maxPcFrozenCycles);
+            EXPECT_EQ(serial[l].dieOutputs, ref.dieOutputs);
+            EXPECT_EQ(serial[l].goldenOutputs, ref.goldenOutputs);
+        }
+        EXPECT_GT(clean, 0u) << isaName(isa);
+        EXPECT_GT(dirty, 0u) << isaName(isa);
+    }
+}
+
 // ---------------------------------------------------------------
 // Fault campaigns
 // ---------------------------------------------------------------
@@ -345,55 +449,6 @@ TEST(FaultCampaign, ThreadCountDoesNotChangeResults)
         EXPECT_EQ(a.cycles, b.cycles) << i;
         EXPECT_EQ(a.firstDetector, b.firstDetector) << i;
     }
-}
-
-TEST(FaultCampaign, BatchLanesBitIdenticalToScalar)
-{
-    // The word-parallel prescreen only settles injections it can
-    // prove masked; everything else falls through to the scalar
-    // checked runtime. Net effect: per-injection results are
-    // bit-identical between a fully scalar campaign (batchLanes=1)
-    // and any batched one, across all result fields.
-    CampaignConfig cfg;
-    cfg.isa = IsaKind::FlexiCore4;
-    cfg.seed = 9;
-    cfg.injections = 40;
-    cfg.threads = 1;
-    cfg.batchLanes = 1;
-    CampaignResult scalar = runFaultCampaign(cfg);
-    cfg.batchLanes = 64;
-    CampaignResult batched = runFaultCampaign(cfg);
-    cfg.batchLanes = 5;   // ragged batches
-    cfg.threads = 4;
-    CampaignResult ragged = runFaultCampaign(cfg);
-    cfg.batchLanes = 512;   // wide 8-word groups (the default)
-    cfg.threads = 1;
-    CampaignResult wide = runFaultCampaign(cfg);
-
-    EXPECT_EQ(scalar.baselineCycles, batched.baselineCycles);
-    ASSERT_EQ(scalar.injections.size(), batched.injections.size());
-    ASSERT_EQ(scalar.injections.size(), ragged.injections.size());
-    ASSERT_EQ(scalar.injections.size(), wide.injections.size());
-    for (size_t i = 0; i < scalar.injections.size(); ++i) {
-        const InjectionResult &a = scalar.injections[i];
-        for (const InjectionResult *b :
-             {&batched.injections[i], &ragged.injections[i],
-              &wide.injections[i]}) {
-            EXPECT_EQ(a.kind, b->kind) << i;
-            EXPECT_EQ(a.outcome, b->outcome) << i;
-            EXPECT_EQ(a.runOutcome, b->runOutcome) << i;
-            EXPECT_EQ(a.outputsCorrect, b->outputsCorrect) << i;
-            EXPECT_EQ(a.detections, b->detections) << i;
-            EXPECT_EQ(a.retries, b->retries) << i;
-            EXPECT_EQ(a.restarts, b->restarts) << i;
-            EXPECT_EQ(a.cycles, b->cycles) << i;
-            EXPECT_EQ(a.firstDetector, b->firstDetector) << i;
-        }
-    }
-    // The prescreen must actually be doing work on this seed, not
-    // vacuously agreeing because nothing screened clean.
-    CampaignCounts c = scalar.counts();
-    EXPECT_GT(c[FaultOutcome::Masked], 0u);
 }
 
 TEST(FaultCampaign, ExercisesAllFaultKinds)

@@ -5,7 +5,6 @@
  *   flexifault campaign [--isa fc4|fc8|ext|ls] [--seed N]
  *                       [--injections N] [--work N] [--threads N]
  *                       [--no-detectors] [--no-recovery] [--lockstep]
- *                       [--batch-lanes N]
  *   flexifault salvage  [--isa fc4|fc8] [--seed N] [--cycles N]
  *                       [--vdd V] [--min-kernels N] [--threads N]
  *   flexifault atpg     [--isa fc4|fc8] [--seed N] [--max-faults N]
@@ -20,8 +19,8 @@
  *
  * Exit codes follow the flexilint contract: 0 = success, 1 =
  * runtime error (a failed baseline run), 2 = usage error (unknown
- * command or ISA, malformed or out-of-range option value — a
- * negative seed, --batch-lanes 0).
+ * command, ISA or option, malformed or out-of-range option value —
+ * a negative seed, --vdd nan).
  */
 
 #include <cstdarg>
@@ -30,6 +29,7 @@
 #include <cstring>
 #include <limits>
 #include <optional>
+#include <vector>
 
 #include "analysis/atpg.hh"
 #include "common/logging.hh"
@@ -73,25 +73,31 @@ struct Args
 {
     int argc;
     char **argv;
-    int pos = 2;
+    /** argv slots an option or flag has consumed. */
+    std::vector<bool> used = std::vector<bool>(argc, false);
 
     /** Consume "--name <value>"; returns nullptr when not present. */
     const char *
     option(const char *name)
     {
-        for (int i = pos; i + 1 < argc; ++i) {
-            if (!std::strcmp(argv[i], name))
+        for (int i = 2; i + 1 < argc; ++i) {
+            if (!std::strcmp(argv[i], name)) {
+                used[i] = used[i + 1] = true;
                 return argv[i + 1];
+            }
         }
         return nullptr;
     }
 
     bool
-    flag(const char *name) const
+    flag(const char *name)
     {
-        for (int i = pos; i < argc; ++i)
-            if (!std::strcmp(argv[i], name))
+        for (int i = 2; i < argc; ++i) {
+            if (!std::strcmp(argv[i], name)) {
+                used[i] = true;
                 return true;
+            }
+        }
         return false;
     }
 
@@ -115,22 +121,13 @@ struct Args
         return *n;
     }
 
-    /**
-     * Consume "--name <value>" as a lane count: strictly numeric,
-     * at least 1, at most @p max (the compiled group maximum).
-     * Anything else is a usage error (exit 2).
-     */
-    unsigned
-    laneCount(const char *name, unsigned fallback, unsigned max)
+    /** Usage error on any argument no option or flag consumed. */
+    void
+    finish() const
     {
-        const char *v = option(name);
-        if (!v)
-            return fallback;
-        std::optional<unsigned> n = parseUnsigned<unsigned>(v, 1, max);
-        if (!n)
-            usageError("%s: expected a lane count in 1..%u, got "
-                       "'%s'", name, max, v);
-        return *n;
+        for (int i = 2; i < argc; ++i)
+            if (!used[i])
+                usageError("unknown option '%s'", argv[i]);
     }
 };
 
@@ -144,10 +141,6 @@ cmdCampaign(Args &args)
     cfg.injections = args.number<unsigned>("--injections", 96);
     cfg.workUnits = args.number<size_t>("--work", 6);
     cfg.threads = args.number<unsigned>("--threads", 0);
-    // 512 = full wide-lane prescreen, 1 = scalar lane-by-lane
-    // (debuggable); outcomes are bit-identical for any value.
-    cfg.batchLanes = args.laneCount("--batch-lanes", 512,
-                                    LaneGroup::kMaxLanes);
     if (args.flag("--no-detectors"))
         cfg.detectors = DetectorConfig{false, false, false,
                                        cfg.detectors.watchdogCycles};
@@ -155,6 +148,7 @@ cmdCampaign(Args &args)
         cfg.detectors.lockstep = true;
     if (args.flag("--no-recovery"))
         cfg.recovery.enabled = false;
+    args.finish();
 
     CampaignResult res = runFaultCampaign(cfg);
     CampaignCounts c = res.counts();
@@ -182,12 +176,15 @@ cmdSalvage(Args &args)
     cfg.study.threads = args.number<unsigned>("--threads", 0);
     cfg.minKernels = args.number<unsigned>("--min-kernels", 1);
     if (const char *vdd = args.option("--vdd")) {
-        char *end = nullptr;
-        cfg.vdd = std::strtod(vdd, &end);
-        if (end == vdd || *end != '\0' || cfg.vdd <= 0)
+        std::optional<double> v =
+            parseReal(vdd, std::numeric_limits<double>::min(),
+                      std::numeric_limits<double>::max());
+        if (!v)
             usageError("--vdd: expected a positive voltage, got "
                        "'%s'", vdd);
+        cfg.vdd = *v;
     }
+    args.finish();
 
     SalvageReport rep = runSalvageStudy(cfg);
     std::printf("%s wafer, seed %llu, binned at %.1f V (inclusion "
@@ -226,6 +223,7 @@ cmdAtpg(Args &args)
     cfg.simCycles = args.number<uint64_t>("--cycles", 1500);
     cfg.maxFaults = args.number<size_t>("--max-faults", 0);
     cfg.threads = args.number<unsigned>("--threads", 0);
+    args.finish();
 
     Program prog = makeTestProgram(cfg.isa, seed);
     auto inputs = makeTestInputs(cfg.isa, 256, seed);

@@ -8,11 +8,10 @@
  *                     [--lockstep] [--no-crc] [--no-watchdog]
  *                     [--no-recovery] [--retries N] [--no-restart]
  *                     [--max-repages N] [--vdd V] [--min-kernels N]
- *                     [--threads N] [--batch-lanes N]
- *                     [--checkpoint FILE] [--stop-after N]
- *                     [--json FILE]
+ *                     [--threads N] [--checkpoint FILE]
+ *                     [--stop-after N] [--json FILE]
  *   flexifleet resume --checkpoint FILE [--stop-after N]
- *                     [--threads N] [--batch-lanes N] [--json FILE]
+ *                     [--threads N] [--json FILE]
  *   flexifleet report --checkpoint FILE [--json FILE]
  *
  * run: draw a deployed population from the wafer model's binned
@@ -26,7 +25,7 @@
  *
  * Exit codes follow the flexilint contract: 0 = success, 1 =
  * runtime/data error (unreadable or corrupt checkpoint, engine
- * failure), 2 = usage error (unknown command, malformed or
+ * failure), 2 = usage error (unknown command or option, malformed or
  * out-of-range option value, missing required option).
  */
 
@@ -37,6 +36,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/parse_number.hh"
@@ -67,23 +67,31 @@ struct Args
 {
     int argc;
     char **argv;
+    /** argv slots an option or flag has consumed. */
+    std::vector<bool> used = std::vector<bool>(argc, false);
 
     /** Consume "--name <value>"; nullptr when not present. */
     const char *
-    option(const char *name) const
+    option(const char *name)
     {
-        for (int i = 2; i + 1 < argc; ++i)
-            if (!std::strcmp(argv[i], name))
+        for (int i = 2; i + 1 < argc; ++i) {
+            if (!std::strcmp(argv[i], name)) {
+                used[i] = used[i + 1] = true;
                 return argv[i + 1];
+            }
+        }
         return nullptr;
     }
 
     bool
-    flag(const char *name) const
+    flag(const char *name)
     {
-        for (int i = 2; i < argc; ++i)
-            if (!std::strcmp(argv[i], name))
+        for (int i = 2; i < argc; ++i) {
+            if (!std::strcmp(argv[i], name)) {
+                used[i] = true;
                 return true;
+            }
+        }
         return false;
     }
 
@@ -92,7 +100,7 @@ struct Args
     template <typename T>
     T
     number(const char *name, T fallback, T min = 0,
-           T max = std::numeric_limits<T>::max()) const
+           T max = std::numeric_limits<T>::max())
     {
         const char *v = option(name);
         if (!v)
@@ -105,18 +113,27 @@ struct Args
         return *n;
     }
 
+    /** Strict finite real option in [min, max], else usage error. */
     double
-    real(const char *name, double fallback) const
+    real(const char *name, double fallback, double min, double max)
     {
         const char *v = option(name);
         if (!v)
             return fallback;
-        char *end = nullptr;
-        double x = std::strtod(v, &end);
-        if (end == v || *end != '\0' || !(x >= 0.0))
-            usageError("%s: expected a non-negative number, got "
-                       "'%s'", name, v);
-        return x;
+        std::optional<double> x = parseReal(v, min, max);
+        if (!x)
+            usageError("%s: expected a number in %g..%g, got '%s'",
+                       name, min, max, v);
+        return *x;
+    }
+
+    /** Usage error on any argument no option or flag consumed. */
+    void
+    finish() const
+    {
+        for (int i = 2; i < argc; ++i)
+            if (!used[i])
+                usageError("unknown option '%s'", argv[i]);
     }
 };
 
@@ -151,7 +168,7 @@ parseFc8Program(const char *name)
 }
 
 FleetConfig
-configFromArgs(const Args &args)
+configFromArgs(Args &args)
 {
     FleetConfig cfg;
     if (const char *isa = args.option("--isa"))
@@ -164,8 +181,10 @@ configFromArgs(const Args &args)
     if (const char *p = args.option("--program"))
         cfg.fc8Program = parseFc8Program(p);
     cfg.workUnits = args.number<size_t>("--work", 2, 1);
-    cfg.transientsPerEpoch = args.real("--transients", 0.25);
-    cfg.flipsPerEpoch = args.real("--flips", 0.05);
+    cfg.transientsPerEpoch = args.real("--transients", 0.25, 0,
+                                       kMaxFaultsPerEpoch);
+    cfg.flipsPerEpoch =
+        args.real("--flips", 0.05, 0, kMaxFaultsPerEpoch);
     if (args.flag("--lockstep"))
         cfg.detectors.lockstep = true;
     if (args.flag("--no-crc"))
@@ -180,17 +199,11 @@ configFromArgs(const Args &args)
         cfg.recovery.allowRestart = false;
     cfg.maxRepages =
         args.number<unsigned>("--max-repages", 1, 0, 1u << 20);
-    if (const char *vdd = args.option("--vdd")) {
-        char *end = nullptr;
-        cfg.vdd = std::strtod(vdd, &end);
-        if (end == vdd || *end != '\0' || cfg.vdd <= 0)
-            usageError("--vdd: expected a positive voltage, got "
-                       "'%s'", vdd);
-    }
+    cfg.vdd = args.real("--vdd", cfg.vdd,
+                        std::numeric_limits<double>::min(),
+                        std::numeric_limits<double>::max());
     cfg.minKernels = args.number<unsigned>("--min-kernels", 1, 1, 32);
     cfg.threads = args.number<unsigned>("--threads", 0);
-    cfg.batchLanes = args.number<unsigned>(
-        "--batch-lanes", LaneGroup::kMaxLanes, 1, LaneGroup::kMaxLanes);
     return cfg;
 }
 
@@ -274,11 +287,13 @@ writeJson(const FleetState &state, const char *path)
 }
 
 int
-cmdRun(const Args &args)
+cmdRun(Args &args)
 {
     FleetConfig cfg = configFromArgs(args);
     const char *checkpoint = args.option("--checkpoint");
     uint32_t stopAfter = args.number<uint32_t>("--stop-after", 0);
+    const char *json = args.option("--json");
+    args.finish();
 
     FleetEngine engine(cfg);
     FleetState state = engine.init();
@@ -286,13 +301,13 @@ cmdRun(const Args &args)
                checkpoint ? std::string(checkpoint)
                           : std::string());
     printSummary(state);
-    if (const char *json = args.option("--json"))
+    if (json)
         writeJson(state, json);
     return 0;
 }
 
 int
-cmdResume(const Args &args, bool runEpochs)
+cmdResume(Args &args, bool runEpochs)
 {
     const char *checkpoint = args.option("--checkpoint");
     if (!checkpoint)
@@ -300,20 +315,23 @@ cmdResume(const Args &args, bool runEpochs)
                    runEpochs ? "resume" : "report");
 
     FleetState state = loadFleetCheckpoint(checkpoint);
+    uint32_t stopAfter = 0;
     if (runEpochs) {
-        // Execution knobs may change across a resume; everything
+        // The thread count may change across a resume; everything
         // semantic comes from the checkpoint.
         state.config.threads =
             args.number<unsigned>("--threads", state.config.threads);
-        state.config.batchLanes = args.number<unsigned>(
-            "--batch-lanes", state.config.batchLanes, 1,
-            LaneGroup::kMaxLanes);
-        uint32_t stopAfter = args.number<uint32_t>("--stop-after", 0);
+        stopAfter = args.number<uint32_t>("--stop-after", 0);
+    }
+    const char *json = args.option("--json");
+    args.finish();
+
+    if (runEpochs) {
         FleetEngine engine(state.config);
         engine.run(state, stopAfter, checkpoint);
     }
     printSummary(state);
-    if (const char *json = args.option("--json"))
+    if (json)
         writeJson(state, json);
     return 0;
 }

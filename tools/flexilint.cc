@@ -62,6 +62,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -273,11 +274,13 @@ main(int argc, char **argv)
                 return usage();
             vcd_path = argv[i];
         } else if (arg == "--vdd") {
-            if (++i >= argc)
+            std::optional<double> v;
+            if (++i >= argc ||
+                !(v = parseReal(argv[i],
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::max())))
                 return usage();
-            vdd = std::atof(argv[i]);
-            if (vdd <= 0.0)
-                return usage();
+            vdd = *v;
         } else if (arg == "--paths") {
             std::optional<size_t> n;
             if (++i >= argc || !(n = parseUnsigned<size_t>(argv[i], 1)))
