@@ -8,8 +8,9 @@
  * better vector would catch them) or *redundant faults* (no input or
  * state assignment can ever expose them)?
  *
- * For every fault the simulation missed, the PR-3 CNF encoder builds
- * a miter between the golden netlist and the faulted clone. An UNSAT
+ * For every fault the simulation missed, checkNetlistEquivalence()
+ * builds a miter between the golden netlist and the faulted clone,
+ * copying only the fault's fan-out cone, and solves it once. An UNSAT
  * result is a proof of redundancy — the fault cannot change any
  * primary output or next-state bit in any cycle, so no test program
  * can see it and it should be excluded from the coverage

@@ -403,6 +403,31 @@ encodeNetlist(CnfBuilder &cnf, const Netlist &nl,
         }
     }
 
+    // Fault-free cones: a net is dirty if either instance faults it
+    // or a plan step (topological order) reads a dirty net; every
+    // other net takes the shared literal and loses its driver.
+    std::vector<uint8_t> reused(nl.numNets() + 1, 0);
+    if (opts.shareFaultFreeCones) {
+        if (!opts.share || opts.shareWith->numNets() != nl.numNets())
+            panic("encodeNetlist: shareFaultFreeCones needs a shared "
+                  "encoding of a structurally identical netlist");
+        std::vector<uint8_t> dirty(nl.numNets() + 1, 0);
+        for (const StuckFault &f : nl.faults())
+            dirty[f.net] = 1;
+        for (const StuckFault &f : opts.shareWith->faults())
+            dirty[f.net] = 1;
+        for (const auto &step : nl.planSteps())
+            dirty[step.out] |= dirty[step.in[0]] | dirty[step.in[1]] |
+                               dirty[step.in[2]];
+        for (NetId n = 0; n < nl.numNets(); ++n) {
+            if (!dirty[n] && opts.share->hasLit(n)) {
+                enc.net[n] = opts.share->lit(n);
+                reused[n] = 1;
+            }
+        }
+    }
+    auto preset = [&](NetId n) { return faulted[n] || reused[n]; };
+
     if (opts.mode == NetlistEncodeMode::Reference) {
         // Gate semantics straight from the CellInst records, in
         // construction order (creation order is causal for every
@@ -412,9 +437,8 @@ encodeNetlist(CnfBuilder &cnf, const Netlist &nl,
         for (const auto &cell : cells) {
             if (isSequential(cell.type))
                 continue;
-            if (faulted[cell.output]) {
-                continue;   // forced: drop the driving cone
-            }
+            if (preset(cell.output))
+                continue;   // forced or shared: drop the driver
             SatLit a = getLit(cell.inputs[0]);
             SatLit b = cell.inputs.size() > 1 ? getLit(cell.inputs[1])
                                               : SatLit{};
@@ -427,7 +451,7 @@ encodeNetlist(CnfBuilder &cnf, const Netlist &nl,
         // The compiled plan: one 8-bit truth table per step, padded
         // input slots reading the scratch net.
         for (const auto &step : nl.planSteps()) {
-            if (faulted[step.out])
+            if (preset(step.out))
                 continue;
             SatLit in[3] = {getLit(step.in[0]), getLit(step.in[1]),
                             getLit(step.in[2])};
@@ -452,7 +476,7 @@ encodeNetlist(CnfBuilder &cnf, const Netlist &nl,
         for (const auto &run : nl.planRuns()) {
             for (uint32_t s = run.begin; s < run.end; ++s) {
                 const auto &step = steps[s];
-                if (faulted[step.out])
+                if (preset(step.out))
                     continue;
                 SatLit a = getLit(step.in[0]);
                 SatLit b = getLit(step.in[1]);

@@ -135,6 +135,17 @@ struct NetlistEncodeOptions
     const NetlistEncoding *share = nullptr;
     const Netlist *shareWith = nullptr;
     /**
+     * With `share`, for a netlist structurally identical to
+     * @p shareWith (same cells, nets and interface; the caller
+     * checks): every net outside the fan-out of the stuck-at faults
+     * of both instances reuses the shared literal and emits no
+     * clauses. Such a net is the same function of the same shared
+     * variables on both sides, so a miter over the two encodings has
+     * exactly the satisfiability of two full copies; only the
+     * faults' cones are copied.
+     */
+    bool shareFaultFreeCones = false;
+    /**
      * Bind every DFF Q literal (commit order) to the given literal
      * instead of a fresh variable. The sequential unroller stitches
      * timestep t+1 to timestep t by binding the new frame's Q nets

@@ -54,6 +54,24 @@ proveEqual(CnfBuilder &cnf, SatLit a, SatLit b, uint64_t &solves)
     return true;
 }
 
+/**
+ * Identical cells (type, wiring, order), net count and interface
+ * maps: net ids name the same wire in both netlists.
+ */
+bool
+sameStructure(const Netlist &a, const Netlist &b)
+{
+    auto same_cell = [](const CellInst &x, const CellInst &y) {
+        return x.type == y.type && x.inputs == y.inputs &&
+               x.output == y.output;
+    };
+    return a.numNets() == b.numNets() &&
+           a.primaryInputs() == b.primaryInputs() &&
+           a.primaryOutputs() == b.primaryOutputs() &&
+           std::equal(a.cells().begin(), a.cells().end(),
+                      b.cells().begin(), b.cells().end(), same_cell);
+}
+
 } // namespace
 
 std::string
@@ -236,29 +254,19 @@ checkNetlistEquivalence(const Netlist &a, const Netlist &b)
     ea_opts.applyFaults = true;
     NetlistEncoding ea = encodeNetlist(cnf, a, ea_opts);
 
+    // Same structure (e.g. a clone() die and its template): b copies
+    // only the fan-out cones of the faults on either side, and every
+    // clean output or next-state diff folds to constant false.
     NetlistEncodeOptions eb_opts;
     eb_opts.mode = NetlistEncodeMode::Reference;
     eb_opts.applyFaults = true;
     eb_opts.share = &ea;
     eb_opts.shareWith = &a;
+    eb_opts.shareFaultFreeCones = sameStructure(a, b);
     NetlistEncoding eb = encodeNetlist(cnf, b, eb_opts);
 
-    // Sweep acceleration when the instances share one structure
-    // (clone() dies): prove internal cones equal where possible.
-    // Failures here are *not* mismatches — a fault can corrupt an
-    // internal cone yet be masked at every output — so they are
-    // simply left unhardened for the final miter to sort out.
-    if (a.numCells() == b.numCells() && a.numNets() == b.numNets()) {
-        for (const auto &step : a.planSteps()) {
-            if (!ea.hasLit(step.out) || !eb.hasLit(step.out))
-                continue;
-            proveEqual(cnf, ea.lit(step.out), eb.lit(step.out),
-                       res.solves);
-        }
-    }
-
-    // The real question: any input/state separating an output or a
-    // captured next-state bit?
+    // One solve: any input/state separating an output or a captured
+    // next-state bit?
     std::vector<SatLit> diffs;
     std::vector<std::string> names;
     for (const auto &[name, net_a] : a.primaryOutputs()) {

@@ -15,7 +15,9 @@
  *  - checkNetlistEquivalence(): proves two netlist instances (e.g. a
  *    cloned die against its template) produce identical primary
  *    outputs and next-state for every input and state, honoring any
- *    injected stuck-at faults on either side.
+ *    injected stuck-at faults on either side. When both share one
+ *    structure, the second half of the miter copies only the
+ *    faults' fan-out cones; either way it is one solve.
  *
  *  - checkIsaEquivalence(): proves a core netlist's next-state
  *    function (the D cones of its architectural DFFs, matched by net
@@ -111,6 +113,9 @@ EquivResult checkPlanEquivalence(const Netlist &nl);
  * by name) and identical effective next-state (matched by DFF commit
  * order) for every shared input and state assignment. Stuck-at
  * faults injected on either instance are part of its semantics.
+ * Netlists with identical cells, nets and interface maps share every
+ * net outside the faults' fan-out between the miter halves; the
+ * verdict is that of two full copies. One solve either way.
  */
 EquivResult checkNetlistEquivalence(const Netlist &a,
                                     const Netlist &b);

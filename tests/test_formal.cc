@@ -15,6 +15,7 @@
 #include "analysis/cnf_encoder.hh"
 #include "analysis/equiv.hh"
 #include "analysis/sat.hh"
+#include "equiv_replay.hh"
 #include "netlist/flexicore_netlist.hh"
 #include "netlist/netlist.hh"
 
@@ -356,56 +357,9 @@ TEST(NetlistEquiv, BrokenTwinYieldsReplayableCounterexample)
     EXPECT_NE(res.cex.text().find("instr="), std::string::npos)
         << res.cex.text();
 
-    // Replay the counterexample in simulation: force the state bits
-    // of each instance to the assignment (state forces ride on the
-    // fault machinery; the genuinely faulted net keeps its fault),
-    // drive the inputs, evaluate, and observe a real difference in
+    // Replay the counterexample in simulation: a real difference in
     // the outputs or the effective captured next-state.
-    auto drive = [&](Netlist &nl) {
-        for (const auto &[name, value] : res.cex.assignment) {
-            NetId net = nl.findNet(name);
-            ASSERT_NE(net, kNoNet) << name;
-            if (nl.primaryInputs().count(name)) {
-                nl.setInput(name, value);
-                continue;
-            }
-            bool already_faulted = false;
-            for (const StuckFault &f : nl.faults())
-                already_faulted |= f.net == net;
-            if (!already_faulted)
-                nl.injectFault({net, value});
-        }
-        nl.evaluate();
-    };
-    auto a_run = a->clone();
-    auto b_run = b->clone();   // carries the acc1 stuck-at-1 fault
-    // Genuine defects (as opposed to the state forces drive() adds).
-    auto a_defects = a_run->faults();
-    auto b_defects = b_run->faults();
-    drive(*a_run);
-    drive(*b_run);
-
-    // Effective captured value: the D cone, unless a *genuine* fault
-    // forces Q (the state forces only model "the state currently
-    // holds this value"; they do not persist across the edge).
-    auto captured = [](const Netlist &nl,
-                       const std::vector<StuckFault> &defects,
-                       const Netlist::DffInfo &d) {
-        for (const StuckFault &f : defects)
-            if (f.net == d.q)
-                return f.value;
-        return nl.netValue(d.d);
-    };
-    bool differs = false;
-    for (const auto &[name, net] : a_run->primaryOutputs())
-        differs |= a_run->output(name) != b_run->output(name);
-    auto a_dffs = a_run->dffs();
-    auto b_dffs = b_run->dffs();
-    ASSERT_EQ(a_dffs.size(), b_dffs.size());
-    for (size_t i = 0; i < a_dffs.size(); ++i)
-        differs |= captured(*a_run, a_defects, a_dffs[i]) !=
-                   captured(*b_run, b_defects, b_dffs[i]);
-    EXPECT_TRUE(differs)
+    EXPECT_TRUE(cexReplaysAsMismatch(*a, *b, res.cex))
         << "counterexample did not reproduce in simulation: "
         << res.cex.text();
 }
@@ -465,7 +419,32 @@ TEST(NetlistEquiv, CloneIsFormallyIdenticalToTemplate)
         EXPECT_TRUE(res.proven)
             << nl->name() << ": "
             << (res.hasCex ? res.cex.text() : res.detail);
+        EXPECT_EQ(res.solves, 1u) << nl->name();
     }
+}
+
+TEST(NetlistEquiv, FaultsOnEitherSideAreHonored)
+{
+    // Two separate builds share one structure, so the miter halves
+    // share every fault-free cone; a fault on the template side
+    // alone must still separate them, and the same fault on both
+    // sides is no difference at all. The faulted net is the D input
+    // of accumulator bit 5: combinational, so only a dirty mask
+    // seeded from both sides keeps b from reusing a's constant.
+    auto a = buildFlexiCore8Netlist();
+    auto b = buildFlexiCore8Netlist();
+    StuckFault acc5_d{kNoNet, false};
+    for (const Netlist::DffInfo &d : a->dffs())
+        if (d.q == a->findNet("acc5"))
+            acc5_d.net = d.d;
+    ASSERT_NE(acc5_d.net, kNoNet);
+    a->injectFault(acc5_d);
+    EquivResult res = checkNetlistEquivalence(*a, *b);
+    ASSERT_TRUE(res.hasCex) << res.detail;
+    EXPECT_TRUE(cexReplaysAsMismatch(*a, *b, res.cex))
+        << res.cex.text();
+    b->injectFault(acc5_d);
+    EXPECT_TRUE(checkNetlistEquivalence(*a, *b).proven);
 }
 
 TEST(NetlistEquiv, FaultyDieIsNotIdenticalButClearedDieIs)

@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "analysis/atpg.hh"
+#include "analysis/equiv.hh"
 #include "assembler/assembler.hh"
 #include "common/rng.hh"
 #include "kernels/fc8_programs.hh"
@@ -24,6 +25,8 @@
 #include "resilience/fault_campaign.hh"
 #include "resilience/salvage.hh"
 #include "yield/test_program.hh"
+
+#include "equiv_replay.hh"
 
 namespace flexi
 {
@@ -612,6 +615,53 @@ TEST(Atpg, SampledRunTriagesEveryEscape)
             EXPECT_EQ(a.testable, b.testable) << e;
             EXPECT_EQ(a.redundant, b.redundant) << e;
             EXPECT_EQ(a.pattern, b.pattern) << e;
+        }
+    }
+}
+
+// Full-universe verdicts against oracles outside runAtpg's miter:
+// every generated pattern replays in scalar simulation of clones,
+// and the faulty die of a redundant escape still implements its ISA
+// (checkIsaEquivalence: a separate, unshared encoding; an FC8 proof
+// costs about twice an FC4 one, so FC8 checks every second one).
+TEST(Atpg, FullUniverseVerdictsMatchIndependentOracles)
+{
+    struct Core
+    {
+        IsaKind isa;
+        size_t testable, redundant;   ///< bench_fault_coverage's
+        size_t isaStride;             ///< redundant escapes per proof
+    };
+    for (const Core &core : {Core{IsaKind::FlexiCore4, 22, 33, 1},
+                             Core{IsaKind::FlexiCore8, 23, 41, 2}}) {
+        AtpgConfig cfg;
+        cfg.isa = core.isa;
+        Program prog = makeTestProgram(cfg.isa, 11);
+        auto inputs = makeTestInputs(cfg.isa, 256, 11);
+        AtpgReport rep = runAtpg(cfg, prog, inputs);
+        EXPECT_EQ(rep.testable, core.testable) << isaName(core.isa);
+        EXPECT_EQ(rep.redundant, core.redundant) << isaName(core.isa);
+        EXPECT_EQ(rep.testable + rep.redundant, rep.escapes.size());
+
+        auto golden = core.isa == IsaKind::FlexiCore4
+                          ? buildFlexiCore4Netlist()
+                          : buildFlexiCore8Netlist();
+        size_t redundant_seen = 0;
+        for (const AtpgFault &f : rep.escapes) {
+            auto die = golden->clone();
+            die->injectFault(f.fault);
+            std::string what = f.net + " stuck-at-" +
+                               std::to_string(f.fault.value);
+            if (f.testable) {
+                EquivResult eq = checkNetlistEquivalence(*golden, *die);
+                ASSERT_TRUE(eq.hasCex) << what;
+                EXPECT_EQ(eq.cex.text(), f.pattern) << what;
+                EXPECT_TRUE(cexReplaysAsMismatch(*golden, *die, eq.cex))
+                    << what << ": " << f.pattern;
+            } else if (redundant_seen++ % core.isaStride == 0) {
+                EXPECT_TRUE(checkIsaEquivalence(*die, core.isa).proven)
+                    << what;
+            }
         }
     }
 }
