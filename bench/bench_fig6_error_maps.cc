@@ -58,7 +58,8 @@ printMap(const WaferStudyResult &res, double vdd)
         }
         std::printf("\n");
     }
-    std::printf("  ('*' = edge-exclusion-zone die)\n");
+    std::printf("  ('*' = edge-exclusion-zone die; counts above 99999 "
+                "print as 99999)\n");
 }
 
 } // namespace
@@ -73,7 +74,7 @@ main()
         WaferStudyConfig cfg;
         cfg.isa = isa;
         cfg.seed = 42;
-        cfg.testCycles = 1200;
+        cfg.testCycles = 100000;
         cfg.gateLevelErrors = true;
         auto res = runWaferStudy(cfg);
         printMap(res, 3.0);

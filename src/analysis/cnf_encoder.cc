@@ -360,16 +360,18 @@ encodeNetlist(CnfBuilder &cnf, const Netlist &nl,
 
     // Primary inputs: shared with a previous encoding (by name) or
     // fresh.
+    enc.input.assign(nl.numNets() + 1, SatLit{});
     for (const auto &[name, net] : nl.primaryInputs()) {
         if (opts.share) {
             auto it = opts.shareWith->primaryInputs().find(name);
             if (it == opts.shareWith->primaryInputs().end())
                 panic("encodeNetlist: '%s' lacks shared input '%s'",
                       opts.shareWith->name().c_str(), name.c_str());
-            enc.net[net] = opts.share->lit(it->second);
+            enc.net[net] = opts.share->input[it->second];
         } else {
             enc.net[net] = cnf.fresh();
         }
+        enc.input[net] = enc.net[net];
     }
 
     // DFF state: Q nets are free variables of the combinational

@@ -109,6 +109,12 @@ class CnfBuilder
 struct NetlistEncoding
 {
     std::vector<SatLit> net;   ///< per NetId; invalid if unused
+    /**
+     * Per NetId of a primary input: its free variable, which a
+     * stuck-at on the input overrides in `net` (as dffQ keeps the
+     * variable of a faulted Q net); invalid elsewhere.
+     */
+    std::vector<SatLit> input;
     std::vector<SatLit> dffD;
     std::vector<SatLit> dffQ;
 
@@ -130,7 +136,8 @@ struct NetlistEncodeOptions
      * Share primary-input variables (matched by input name against
      * @p shareWith) and DFF state variables (matched by DFF commit
      * order) with a previous encoding, making the two encodings two
-     * halves of a miter.
+     * halves of a miter. The shared variables are the free ones, so
+     * a stuck-at on either side stays on that side.
      */
     const NetlistEncoding *share = nullptr;
     const Netlist *shareWith = nullptr;

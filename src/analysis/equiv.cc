@@ -22,9 +22,8 @@ extractCex(const SatSolver &solver, const Netlist &nl,
 {
     EquivCounterexample cex;
     for (const auto &[name, net] : nl.primaryInputs())
-        if (enc.hasLit(net))
-            cex.assignment.emplace_back(
-                name, solver.modelValue(enc.lit(net)));
+        cex.assignment.emplace_back(
+            name, solver.modelValue(enc.input[net]));
     auto dffs = nl.dffs();
     for (size_t i = 0; i < dffs.size(); ++i)
         cex.assignment.emplace_back(nl.netName(dffs[i].q),

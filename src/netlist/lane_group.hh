@@ -92,6 +92,8 @@ class LaneGroup
     void clearFaults();
     void injectTransient(unsigned lane, const TransientFault &fault);
     void clearTransients();
+    /** Any transient window injected (the group is not time-invariant)? */
+    bool hasTransients() const { return !transients_.empty(); }
     /** Flip the stored state bit of DFF @p index in one lane. */
     void flipDff(unsigned lane, size_t index);
     ///@}

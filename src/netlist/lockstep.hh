@@ -66,6 +66,11 @@ struct LockstepGroupResult
     uint64_t cycles = 0;
     uint64_t instructions = 0;
     /**
+     * Golden instructions actually stepped: equal to instructions
+     * unless the periodic fast-forward ended the run early.
+     */
+    uint64_t steppedInstructions = 0;
+    /**
      * Lanes whose PC and OPORT pads matched golden on every compared
      * instruction: bit L of word w = lane w*64 + L still clean.
      */
@@ -96,6 +101,36 @@ struct LockstepGroupResult
  * Only the fabricated cores (FlexiCore4/8, 8-bit program bus) are
  * supported; each lane's fetch is LaneGroup::driveBusFromTable. Any
  * other @p isa is fatal — the 16-bit-bus DSE cores use runLockstep.
+ *
+ * Periodic fast-forward. Once @p inputs are used up the run is a
+ * closed deterministic system: the held input value is constant, the
+ * golden core's next state is a function of CoreSim::archState(), and
+ * each lane's next state is a function of its own DFF state (its
+ * instruction byte is fetched at its own PC pads), its fixed
+ * stuck-ats and the golden instruction's length. Lanes do not
+ * interact. So when the golden state repeats with period P, and a
+ * lane's state is equal, by value, at two boundaries t0 < t of the
+ * golden period, that lane's mismatch sequence is periodic from t0
+ * with L = t - t0, and its count at the budget is exactly
+ * err(t + R mod L) + (R div L) * (err(t) - err(t0)) with
+ * R = max_instructions - t. The run stops once every lane that
+ * still counts has its final count; instructions and cycles are
+ * extrapolated from the cycles of one golden period. With
+ * @p early_exit a live lane that turns periodic has seen no error in
+ * its period and stays clean. Every result field equals that of a
+ * full run. The golden period is found with Brent's scheme (one
+ * stored state); each lane keeps its DFF state and error counts per
+ * golden period until it repeats, so a lane resolves at its first
+ * repeat and the count of its remaining R mod L instructions is read
+ * from that record. The fast-forward stands down (and the run steps
+ * every instruction, as steppedInstructions reports) when the group
+ * has a transient window, when the golden core halts, when some
+ * lane's state does not repeat within the budget, or when the
+ * group's records would pass a fixed bound (64 Ki words).
+ *
+ * On return @p group holds the state at which simulation stopped,
+ * which is the budget's end only when steppedInstructions equals
+ * instructions.
  *
  * @param golden_netlist the elaborated netlist the group was built
  *        from (or any clone sharing its structure); used only to

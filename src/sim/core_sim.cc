@@ -50,6 +50,13 @@ CoreSim::setMem(unsigned addr, uint8_t v)
     mem_[addr] = v & dataMask_;
 }
 
+CoreSim::ArchState
+CoreSim::archState() const
+{
+    return {pc_,      page_, acc_,      carry_, retReg_,
+            flagsVal_, mem_, outLatch_, halted_};
+}
+
 uint8_t
 CoreSim::memRead(unsigned addr)
 {

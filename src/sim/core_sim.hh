@@ -108,6 +108,29 @@ class CoreSim
     void setMem(unsigned addr, uint8_t v);
     ///@}
 
+    /**
+     * Everything step() reads: PC, page, accumulator, carry, return
+     * register, the LoadStore4 flags source, data memory and output
+     * latch, plus the halted flag. Two cores of one configuration and
+     * program with equal snapshots, in environments that answer
+     * alike, step identically. SimStats are not part of it.
+     */
+    struct ArchState
+    {
+        unsigned pc = 0;
+        unsigned page = 0;
+        uint8_t acc = 0;
+        bool carry = false;
+        uint8_t retReg = 0;
+        uint8_t flagsVal = 0;
+        std::array<uint8_t, 8> mem{};
+        uint8_t outLatch = 0;
+        bool halted = false;
+
+        bool operator==(const ArchState &) const = default;
+    };
+    ArchState archState() const;
+
   private:
     uint8_t readOperand(const Instruction &inst);
     uint8_t memRead(unsigned addr);

@@ -447,6 +447,28 @@ TEST(NetlistEquiv, FaultsOnEitherSideAreHonored)
     EXPECT_TRUE(checkNetlistEquivalence(*a, *b).proven);
 }
 
+TEST(NetlistEquiv, PrimaryInputFaultIsCaughtInBothOrders)
+{
+    // A stuck-at on a primary input overrides that side's literal
+    // only: the other half of the miter must still read the free
+    // input variable, whichever argument carries the fault.
+    auto golden = buildFlexiCore4Netlist();
+    auto faulty = golden->clone();
+    faulty->injectFault({faulty->findNet("instr0"), true});
+    auto clean = golden->clone();
+    for (auto [a, b] : {std::pair{faulty.get(), clean.get()},
+                        std::pair{clean.get(), faulty.get()}}) {
+        EquivResult res = checkNetlistEquivalence(*a, *b);
+        EXPECT_FALSE(res.proven);
+        ASSERT_TRUE(res.hasCex) << res.detail;
+        EXPECT_TRUE(cexReplaysAsMismatch(*a, *b, res.cex))
+            << res.cex.text();
+    }
+    // Stuck on both sides is no difference.
+    clean->injectFault({clean->findNet("instr0"), true});
+    EXPECT_TRUE(checkNetlistEquivalence(*faulty, *clean).proven);
+}
+
 TEST(NetlistEquiv, FaultyDieIsNotIdenticalButClearedDieIs)
 {
     auto nl = buildFlexiCore8Netlist();

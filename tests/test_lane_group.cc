@@ -43,6 +43,71 @@ const Design kDesigns[] = {
     {"loadstore4", &buildLoadStore4Netlist},
 };
 
+/** One fabricated core for the fast-forward tests. */
+struct Core
+{
+    IsaKind isa;
+    std::unique_ptr<Netlist> (*build)();
+};
+
+const Core kFabricated[] = {
+    {IsaKind::FlexiCore4, &buildFlexiCore4Netlist},
+    {IsaKind::FlexiCore8, &buildFlexiCore8Netlist},
+};
+
+/** Lane 0 fault-free, every other lane 1-3 random stuck-ats. */
+std::vector<std::vector<StuckFault>>
+randomDies(const Netlist &golden, unsigned width)
+{
+    Rng rng(0xD1E5EEDull);
+    std::vector<std::vector<StuckFault>> faults(width);
+    for (unsigned lane = 1; lane < width; ++lane) {
+        unsigned n = 1 + static_cast<unsigned>(rng.below(3));
+        for (unsigned k = 0; k < n; ++k)
+            faults[lane].push_back(
+                {static_cast<NetId>(rng.below(golden.numNets())),
+                 rng.chance(0.5)});
+    }
+    return faults;
+}
+
+/**
+ * runLockstepGroup over a fresh group carrying @p faults. With
+ * @p dormant, every lane also carries a transient window that opens
+ * long after the run ends: it forces nothing, but it keeps the group
+ * from counting as a closed system, so the run is the plain
+ * full-length lockstep to compare the fast-forward against.
+ */
+LockstepGroupResult
+runGroup(const Netlist &golden, const Core &core, const Program &prog,
+         const std::vector<uint8_t> &inputs,
+         const std::vector<std::vector<StuckFault>> &faults,
+         uint64_t budget, bool early_exit, bool dormant)
+{
+    unsigned width = static_cast<unsigned>(faults.size());
+    LaneGroup group(golden, width);
+    for (unsigned lane = 0; lane < width; ++lane) {
+        for (const StuckFault &f : faults[lane])
+            group.injectFault(lane, f);
+        if (dormant)
+            group.injectTransient(
+                lane, {golden.findNet("pc0"), true, ~0ull - 1, ~0ull});
+    }
+    return runLockstepGroup(group, golden, core.isa, prog, inputs,
+                            budget, early_exit);
+}
+
+void
+expectSameResult(const LockstepGroupResult &got,
+                 const LockstepGroupResult &want, unsigned width)
+{
+    EXPECT_EQ(got.instructions, want.instructions);
+    EXPECT_EQ(got.cycles, want.cycles);
+    EXPECT_EQ(got.activeMask, want.activeMask);
+    for (unsigned lane = 0; lane < width; ++lane)
+        EXPECT_EQ(got.errors[lane], want.errors[lane]) << "lane " << lane;
+}
+
 /**
  * Drive a @p width lane group and @p width scalar mirrors with the
  * same random stimulus and per-lane fault schedule for @p cycles
@@ -348,23 +413,13 @@ TEST(LaneGroup, LockstepGroupMatchesScalarLockstep)
     auto inputs = makeTestInputs(IsaKind::FlexiCore4, 128, 3);
     const uint64_t kBudget = 300;
 
-    Rng rng(0xD1E5EEDull);
     unsigned width = 96;
     LaneGroup group(*golden, width);
-    std::vector<std::vector<StuckFault>> faults(width);
-    for (unsigned lane = 0; lane < width; ++lane) {
-        // Lane 0 stays fault-free; others get 1-3 stuck-ats.
-        unsigned n = lane ? 1 + static_cast<unsigned>(rng.below(3))
-                          : 0;
-        for (unsigned k = 0; k < n; ++k) {
-            StuckFault f;
-            f.net =
-                static_cast<NetId>(rng.below(golden->numNets()));
-            f.value = rng.chance(0.5);
-            faults[lane].push_back(f);
+    std::vector<std::vector<StuckFault>> faults =
+        randomDies(*golden, width);
+    for (unsigned lane = 0; lane < width; ++lane)
+        for (const StuckFault &f : faults[lane])
             group.injectFault(lane, f);
-        }
-    }
 
     LockstepGroupResult res = runLockstepGroup(
         group, *golden, IsaKind::FlexiCore4, prog, inputs, kBudget,
@@ -610,6 +665,184 @@ TEST(LaneGroup, DffStateRoundTripAcrossWidthsAndMidTransient)
                       mirror->saveDffState());
         }
     }
+}
+
+
+TEST(LaneGroup, PeriodicFastForwardMatchesFullRunAndScalar)
+{
+    // Eight input vectors run out within a few hundred instructions;
+    // from then on each lane is periodic and the fast-forward must
+    // stop early yet report exactly what the full run and scalar
+    // runLockstep report. The odd budget leaves a non-zero tail
+    // (budget - t) mod L for the extrapolated lanes.
+    const uint64_t kBudget = 6007;
+    const unsigned kWidth = 9;
+    for (const Core &core : kFabricated) {
+        SCOPED_TRACE(isaName(core.isa));
+        auto golden = core.build();
+        Program prog = makeTestProgram(core.isa, 5);
+        auto inputs = makeTestInputs(core.isa, 8, 5);
+        auto faults = randomDies(*golden, kWidth);
+
+        LockstepGroupResult fast = runGroup(
+            *golden, core, prog, inputs, faults, kBudget, false, false);
+        LockstepGroupResult full = runGroup(
+            *golden, core, prog, inputs, faults, kBudget, false, true);
+        EXPECT_LT(fast.steppedInstructions, fast.instructions);
+        EXPECT_EQ(full.steppedInstructions, full.instructions);
+        expectSameResult(fast, full, kWidth);
+
+        unsigned dirty = 0;
+        for (unsigned lane = 0; lane < kWidth; ++lane) {
+            auto die = golden->clone();
+            for (const StuckFault &f : faults[lane])
+                die->injectFault(f);
+            LockstepResult scalar =
+                runLockstep(*die, core.isa, prog, inputs, kBudget);
+            EXPECT_EQ(fast.errors[lane], scalar.errors)
+                << "lane " << lane;
+            EXPECT_EQ(fast.laneClean(lane), scalar.errors == 0)
+                << "lane " << lane;
+            EXPECT_EQ(fast.instructions, scalar.instructions);
+            EXPECT_EQ(fast.cycles, scalar.cycles);
+            dirty += scalar.errors != 0;
+        }
+        // Both kinds of lane are in play: clean ones settle at once,
+        // dirty ones through the extrapolated tail.
+        EXPECT_GT(dirty, 0u);
+        EXPECT_LT(dirty, kWidth);
+
+        // Early exit: live lanes that turn periodic are clean for
+        // the rest of the budget; retired lanes keep their counts.
+        LockstepGroupResult fast_ee = runGroup(
+            *golden, core, prog, inputs, faults, kBudget, true, false);
+        LockstepGroupResult full_ee = runGroup(
+            *golden, core, prog, inputs, faults, kBudget, true, true);
+        EXPECT_LT(fast_ee.steppedInstructions, fast_ee.instructions);
+        expectSameResult(fast_ee, full_ee, kWidth);
+        EXPECT_EQ(fast_ee.activeMask, fast.activeMask);
+    }
+}
+
+TEST(LaneGroup, PeriodicFastForwardStandsDownForTransients)
+{
+    // A transient window ties the group to the clock-edge counter:
+    // it is not a closed system, so every instruction is stepped.
+    auto golden = buildFlexiCore4Netlist();
+    Program prog = makeTestProgram(IsaKind::FlexiCore4, 5);
+    auto inputs = makeTestInputs(IsaKind::FlexiCore4, 8, 5);
+    const uint64_t kBudget = 3001;
+    TransientFault t{golden->findNet("pc0"), true, 900, 940};
+
+    LaneGroup group(*golden, 2);
+    group.injectTransient(1, t);
+    LockstepGroupResult res =
+        runLockstepGroup(group, *golden, IsaKind::FlexiCore4, prog,
+                         inputs, kBudget, /*early_exit=*/false);
+    EXPECT_EQ(res.steppedInstructions, res.instructions);
+    EXPECT_EQ(res.instructions, kBudget);
+
+    auto die = golden->clone();
+    die->injectTransient(t);
+    LockstepResult scalar =
+        runLockstep(*die, IsaKind::FlexiCore4, prog, inputs, kBudget);
+    EXPECT_GT(scalar.errors, 0u);
+    EXPECT_EQ(res.errors[1], scalar.errors);
+    EXPECT_EQ(res.errors[0], 0u);
+}
+
+TEST(LaneGroup, PeriodicFastForwardRunsOnWhileALaneNeverRepeats)
+{
+    // A lane whose state does not repeat within the budget keeps the
+    // whole group stepping to the end; the lanes that did repeat
+    // must still come out exact.
+    const uint64_t kBudget = 3001;
+    const unsigned kWidth = 24;
+    for (const Core &core : kFabricated) {
+        SCOPED_TRACE(isaName(core.isa));
+        auto golden = core.build();
+        Program prog = makeTestProgram(core.isa, 5);
+        auto inputs = makeTestInputs(core.isa, 8, 5);
+        auto faults = randomDies(*golden, kWidth);
+
+        // The fault-free lane alone settles early (the golden core
+        // does repeat); find the lanes that alone never do.
+        std::vector<std::vector<StuckFault>> one(1);
+        EXPECT_LT(runGroup(*golden, core, prog, inputs, one, kBudget,
+                           false, false)
+                      .steppedInstructions,
+                  kBudget);
+        unsigned aperiodic = 0;
+        for (unsigned lane = 1; lane < kWidth; ++lane) {
+            one[0] = faults[lane];
+            aperiodic += runGroup(*golden, core, prog, inputs, one,
+                                  kBudget, false, false)
+                             .steppedInstructions == kBudget;
+        }
+        ASSERT_GT(aperiodic, 0u)
+            << "the fixed fault draw has a lane that does not repeat";
+
+        LockstepGroupResult fast = runGroup(
+            *golden, core, prog, inputs, faults, kBudget, false, false);
+        LockstepGroupResult full = runGroup(
+            *golden, core, prog, inputs, faults, kBudget, false, true);
+        EXPECT_EQ(fast.steppedInstructions, kBudget);
+        expectSameResult(fast, full, kWidth);
+    }
+}
+
+TEST(LaneGroup, PeriodicFastForwardLaneWithAPrePeriod)
+{
+    // Most lanes are already on their cycle at the first golden
+    // boundary. This Table 5 die (seed-1003 wafer: FC4 with decoder
+    // net 63 stuck-at-1) first returns to its state of boundary 1, not
+    // 0, so its period and its tail start one boundary in.
+    const uint64_t kBudget = 20011;
+    const Core &core = kFabricated[0];
+    auto golden = core.build();
+    const Program &prog = cachedTestProgram(core.isa, 1003);
+    auto inputs = makeTestInputs(core.isa, 256, 1003);
+    std::vector<std::vector<StuckFault>> faults = {{}, {{63, true}}};
+    for (bool early_exit : {false, true}) {
+        LockstepGroupResult fast = runGroup(*golden, core, prog, inputs,
+                                            faults, kBudget, early_exit,
+                                            false);
+        LockstepGroupResult full = runGroup(*golden, core, prog, inputs,
+                                            faults, kBudget, early_exit,
+                                            true);
+        EXPECT_LT(fast.steppedInstructions, kBudget);
+        expectSameResult(fast, full, 2);
+        EXPECT_GT(full.errors[1], 0u);
+    }
+}
+
+TEST(LaneGroup, PeriodicFastForwardGivesUpPastItsHistoryBound)
+{
+    // Under the seed-1017 Table 5 test program, FC4 with instr0
+    // stuck-at-1 first repeats about 128 golden periods after the
+    // inputs run out. One such lane fast-forwards; 256 of them would
+    // record more boundary snapshots than a group may hold, so that
+    // run gives up and steps to the budget, with the same counts.
+    const uint64_t kBudget = 30011;
+    const Core &core = kFabricated[0];
+    auto golden = core.build();
+    const Program &prog = cachedTestProgram(core.isa, 1017);
+    auto inputs = makeTestInputs(core.isa, 256, 1017);
+    auto run = [&](unsigned width) {
+        std::vector<std::vector<StuckFault>> faults(
+            width, {{golden->findNet("instr0"), true}});
+        return runGroup(*golden, core, prog, inputs, faults, kBudget,
+                        false, false);
+    };
+    LockstepGroupResult one = run(1);
+    LockstepGroupResult many = run(256);
+    EXPECT_LT(one.steppedInstructions, kBudget);
+    EXPECT_GT(one.errors[0], 0u);
+    EXPECT_EQ(many.steppedInstructions, kBudget);
+    EXPECT_EQ(many.instructions, one.instructions);
+    EXPECT_EQ(many.cycles, one.cycles);
+    for (unsigned lane = 0; lane < 256; ++lane)
+        ASSERT_EQ(many.errors[lane], one.errors[0]) << "lane " << lane;
 }
 
 } // namespace
